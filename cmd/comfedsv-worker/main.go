@@ -2,10 +2,11 @@
 // a work-pull daemon that registers with a comfedsvd coordinator, long-polls
 // POST /v1/worker/lease for observation-shard leases, evaluates each leased
 // permutation slice against the training trace hydrated from the shared run
-// store, and reports the observed utility cells back with their content
-// digest. The coordinator verifies every digest before merging, so adding
-// workers (or losing one mid-shard — its lease expires and the shard is
-// re-leased) never changes a byte of any report.
+// store, and reports the utility cells it newly evaluated as one
+// digest-stamped CellBatch. The coordinator preloads the batch and replays
+// the shard locally against it, so adding workers (or losing one
+// mid-shard — its lease expires and the shard is re-leased) never changes
+// a byte of any report.
 //
 // Hydrated runs are cached by run ID alone — utility cells are pure
 // functions of the trace, independent of any job's budget or seed — and
@@ -244,7 +245,7 @@ func (w *worker) serve(ctx context.Context, lease *dispatch.Lease) {
 		"shard", t.Shard, "lo", t.Lo, "hi", t.Hi)
 	log.Info("lease granted")
 	start := time.Now()
-	obs, cells, err := w.observe(ctx, t)
+	cells, err := w.observe(ctx, t)
 	if err != nil {
 		if ctx.Err() != nil {
 			// Shutdown mid-shard: the deferred deregister revokes the
@@ -258,7 +259,7 @@ func (w *worker) serve(ctx context.Context, lease *dispatch.Lease) {
 		}
 		return
 	}
-	if err := w.client.Complete(ctx, lease.ID, obs, cells); err != nil {
+	if err := w.client.Complete(ctx, lease.ID, cells); err != nil {
 		// The cell delta dies with the failed report — ExportNewCells
 		// already drained it. Only an optimization is lost: the
 		// re-leased shard (here or elsewhere) re-derives the cells.
@@ -269,31 +270,24 @@ func (w *worker) serve(ctx context.Context, lease *dispatch.Lease) {
 	if cells != nil {
 		newCells = len(cells.Cells)
 	}
-	log.Info("shard completed", "cells", len(obs.Cells), "digest", obs.Digest,
-		"new_cache_cells", newCells,
+	log.Info("shard completed", "new_cells", newCells,
 		"elapsed", time.Since(start).Round(time.Millisecond))
 }
 
-// observe evaluates the leased permutation slice against the cached
-// (sidecar-warmed) run, rebuilding the job's observation plan for this
-// lease, and drains the newly evaluated utility cells to ship home with
-// the completion. serve calls are serial, so the drained delta is
-// exactly this lease's contribution (plus any cells a previously failed
-// report lost custody of — re-exporting those is harmless).
-func (w *worker) observe(ctx context.Context, t dispatch.Task) (*comfedsv.ShardObservations, *comfedsv.CellBatch, error) {
+// observe walks the leased permutation slice against the cached
+// (sidecar-warmed) run and drains the newly evaluated utility cells to
+// ship home as the completion. serve calls are serial, so the drained
+// delta is exactly this lease's contribution (plus any cells a previously
+// failed report lost custody of — re-exporting those is harmless).
+func (w *worker) observe(ctx context.Context, t dispatch.Task) (*comfedsv.CellBatch, error) {
 	tr, err := w.trainedRun(t.RunID)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	so, err := comfedsv.NewShardObserver(ctx, tr, t.Budget, t.Seed, w.parallelism)
-	if err != nil {
-		return nil, nil, fmt.Errorf("rebuilding observation plan for run %s: %w", t.RunID, err)
+	if err := comfedsv.ObserveSlice(ctx, tr, t.Budget, t.Seed, w.parallelism, t.Lo, t.Hi); err != nil {
+		return nil, fmt.Errorf("observing run %s slice [%d,%d): %w", t.RunID, t.Lo, t.Hi, err)
 	}
-	obs, err := so.ObserveSlice(ctx, t.Lo, t.Hi)
-	if err != nil {
-		return nil, nil, err
-	}
-	return obs, tr.ExportNewCells(), nil
+	return tr.ExportNewCells(), nil
 }
 
 // trainedRun returns the cached hydrated run for runID, loading the

@@ -6,6 +6,7 @@ package comfedsv
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -87,7 +88,8 @@ func TestOfflinePipelineRoundTrip(t *testing.T) {
 
 func TestUtilityPathsAgree(t *testing.T) {
 	// The memoized evaluator, the serial full matrix, the parallel full
-	// matrix, and the batch evaluator must all agree cell-for-cell.
+	// matrix, and a fresh evaluator's concurrent batch path must all agree
+	// cell-for-cell.
 	run := integrationRun(t)
 	e := utility.NewEvaluator(run)
 	serial := utility.FullMatrix(e)
@@ -102,7 +104,10 @@ func TestUtilityPathsAgree(t *testing.T) {
 			want = append(want, serial.At(tr, int(mask)))
 		}
 	}
-	got := utility.EvaluateBatch(run, cells, 4)
+	got, err := utility.NewEvaluator(run).UtilityBatchCtx(context.Background(), cells, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range cells {
 		if math.Abs(got[i]-want[i]) > 1e-15 {
 			t.Fatalf("batch cell %d: %v vs %v", i, got[i], want[i])

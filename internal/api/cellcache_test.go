@@ -173,7 +173,7 @@ func bigMCJobBody(t *testing.T, runID string, seed int64) []byte {
 // runCellWorker is cmd/comfedsv-worker's warm-start loop in-process: it
 // keys its trace cache by run ID alone, hydrates the evaluator from the
 // shared store's cell sidecar, and ships each completion's new cells back
-// with the observations.
+// as the completion's payload.
 // Closing ready signals that the worker is registered, so the test can
 // submit knowing the shards will go remote instead of falling back local.
 func runCellWorker(ctx context.Context, t *testing.T, base, id, runsDir string, ready chan<- struct{}) {
@@ -215,17 +215,11 @@ func runCellWorker(ctx context.Context, t *testing.T, base, id, runsDir string, 
 			}
 			trained[task.RunID] = tr
 		}
-		so, err := comfedsv.NewShardObserver(ctx, tr, task.Budget, task.Seed, 2)
-		if err != nil {
+		if err := comfedsv.ObserveSlice(ctx, tr, task.Budget, task.Seed, 2, task.Lo, task.Hi); err != nil {
 			cl.Fail(ctx, lease.ID, err.Error())
 			continue
 		}
-		obs, err := so.ObserveSlice(ctx, task.Lo, task.Hi)
-		if err != nil {
-			cl.Fail(ctx, lease.ID, err.Error())
-			continue
-		}
-		if err := cl.Complete(ctx, lease.ID, obs, tr.ExportNewCells()); err != nil && ctx.Err() == nil {
+		if err := cl.Complete(ctx, lease.ID, tr.ExportNewCells()); err != nil && ctx.Err() == nil {
 			t.Errorf("worker %s: complete: %v", id, err)
 		}
 	}
@@ -235,11 +229,22 @@ func runCellWorker(ctx context.Context, t *testing.T, base, id, runsDir string, 
 // worker's evaluated cells travel back over the completion wire, the
 // coordinator daemon persists them to the run's sidecar, and both a
 // restarted daemon and a fresh worker warm-start from that sidecar — with
-// the report byte-identical at every temperature.
+// the report byte-identical at every temperature and to the same job run
+// all-local, utility_calls included. The job selects more than 20
+// clients, so FedSV does not pre-evaluate the observation cells during
+// Prepare and a remote shard's bill is observable.
 func TestRemoteWorkerCellCacheWarmStart(t *testing.T) {
 	runsDir := t.TempDir()
 	const seed = 59
 	payload := bigJob(seed)
+
+	localTS := testDaemon(t, service.Config{Workers: 2, RunStore: mustRunStore(t, t.TempDir())})
+	localRun := registerRun(t, localTS.URL, payload)
+	localID := submitAndWait(t, localTS.URL, bigMCJobBody(t, localRun, seed))
+	code, local := getBody(t, localTS.URL+"/v1/jobs/"+localID+"/report")
+	if code != http.StatusOK {
+		t.Fatalf("GET all-local report: %d", code)
+	}
 
 	coord1 := dispatch.NewCoordinator(dispatch.Config{LeaseTTL: time.Minute, WorkerTTL: time.Hour})
 	ts1 := dispatchDaemon(t, runsDir, coord1, service.Config{Workers: 2})
@@ -255,6 +260,12 @@ func TestRemoteWorkerCellCacheWarmStart(t *testing.T) {
 	code, want := getBody(t, ts1.URL+"/v1/jobs/"+id1+"/report")
 	if code != http.StatusOK {
 		t.Fatalf("GET cold report: %d", code)
+	}
+	if !bytes.Equal(local, want) {
+		t.Fatalf("remote report differs from the all-local one:\n%s\nvs\n%s", want, local)
+	}
+	if st := coord1.Stats(); st.LeasesCompleted == 0 {
+		t.Fatal("no shard ran remotely")
 	}
 	met1 := daemonMetrics(t, ts1.URL)
 	if v := cellMetric(t, met1, "comfedsvd_cellcache_persisted_total"); v == 0 {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,8 +14,10 @@ import (
 
 	"comfedsv"
 	"comfedsv/internal/dispatch"
+	"comfedsv/internal/faultinject"
 	"comfedsv/internal/persist"
 	"comfedsv/internal/service"
+	"comfedsv/internal/utility"
 )
 
 // dispatchDaemon is comfedsvd with -dispatch: a Manager wired to a shard
@@ -43,8 +46,8 @@ func dispatchDaemon(t *testing.T, runsDir string, coord *dispatch.Coordinator, c
 }
 
 // runWorker is cmd/comfedsv-worker's loop in-process: register, long-poll
-// for leases, hydrate the trace from the shared run store, evaluate the
-// leased permutation slice, and report the cells with their digest.
+// for leases, hydrate the trace from the shared run store, walk the leased
+// permutation slice, and report the newly evaluated cells.
 func runWorker(ctx context.Context, t *testing.T, base, id, runsDir string) {
 	runs, err := persist.NewRunStore(runsDir)
 	if err != nil {
@@ -58,34 +61,28 @@ func runWorker(ctx context.Context, t *testing.T, base, id, runsDir string) {
 		}
 		return
 	}
-	observers := make(map[string]*comfedsv.ShardObserver)
+	trained := make(map[string]*comfedsv.TrainedRun)
 	for ctx.Err() == nil {
 		lease, err := cl.Lease(ctx, time.Second)
 		if err != nil || lease == nil {
 			continue
 		}
 		task := lease.Task
-		key := fmt.Sprintf("%s/%d/%d", task.RunID, task.Budget, task.Seed)
-		so := observers[key]
-		if so == nil {
+		tr := trained[task.RunID]
+		if tr == nil {
 			run, err := runs.LoadRun(task.RunID)
 			if err != nil {
 				cl.Fail(ctx, lease.ID, err.Error())
 				continue
 			}
-			so, err = comfedsv.NewShardObserver(ctx, comfedsv.NewTrainedRun(run), task.Budget, task.Seed, 2)
-			if err != nil {
-				cl.Fail(ctx, lease.ID, err.Error())
-				continue
-			}
-			observers[key] = so
+			tr = comfedsv.NewTrainedRun(run)
+			trained[task.RunID] = tr
 		}
-		obs, err := so.ObserveSlice(ctx, task.Lo, task.Hi)
-		if err != nil {
+		if err := comfedsv.ObserveSlice(ctx, tr, task.Budget, task.Seed, 2, task.Lo, task.Hi); err != nil {
 			cl.Fail(ctx, lease.ID, err.Error())
 			continue
 		}
-		if err := cl.Complete(ctx, lease.ID, obs, nil); err != nil && ctx.Err() == nil {
+		if err := cl.Complete(ctx, lease.ID, tr.ExportNewCells()); err != nil && ctx.Err() == nil {
 			t.Errorf("worker %s: complete: %v", id, err)
 		}
 	}
@@ -130,10 +127,11 @@ func mcJobBody(t *testing.T, runID string, seed int64) []byte {
 // TestDistributedObservationByteIdenticalWithWorkerLoss is the acceptance
 // walkthrough of distributed observation: a run-backed Monte-Carlo job's
 // shards are leased over the real HTTP surface to two workers, one of
-// which is killed mid-shard (it takes a lease and goes silent); the lease
-// expires, the shard is re-leased through the retry ladder to the healthy
-// worker, every completion is digest-verified at the wire, and the final
-// report is byte-identical to the same job executed entirely locally.
+// which is killed mid-shard (it takes a lease, reports a corrupt batch
+// that the wire rejects, and goes silent); the lease expires, the shard
+// is re-leased through the retry ladder to the healthy worker, and the
+// final report is byte-identical to the same job executed entirely
+// locally.
 func TestDistributedObservationByteIdenticalWithWorkerLoss(t *testing.T) {
 	payload, _, _, _ := tinyJob(37)
 	const seed = 37
@@ -190,8 +188,17 @@ func TestDistributedObservationByteIdenticalWithWorkerLoss(t *testing.T) {
 		}
 		doomedLease = l
 	}
-	// Killed mid-shard: no Complete, no Fail, no further polls. The lease
-	// deadline is now the only way the shard comes back.
+	// A batch whose digest does not verify is rejected at the wire with a
+	// 400, and the lease stays active.
+	corrupt := &utility.CellBatch{N: 4, Cells: []utility.SnapshotCell{{Round: 0, Mask: 0b1, Value: 0.5}}}
+	corrupt.Stamp()
+	corrupt.Cells[0].Value = 0.75
+	if err := doomed.Complete(ctx, doomedLease.ID, corrupt); err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("corrupt completion: %v, want 400 bad request", err)
+	}
+
+	// Killed mid-shard: no valid Complete, no Fail, no further polls. The
+	// lease deadline is now the only way the shard comes back.
 
 	// The healthy worker picks up the remaining shards and, once the
 	// doomed lease expires, the re-leased one.
@@ -213,15 +220,12 @@ func TestDistributedObservationByteIdenticalWithWorkerLoss(t *testing.T) {
 	if st.LeasesExpired == 0 {
 		t.Fatal("no lease expired — the worker-loss path never ran")
 	}
-	if st.DigestMismatches != 0 {
-		t.Fatalf("DigestMismatches = %d, want 0", st.DigestMismatches)
-	}
 
 	// The straggler's late completion is rejected at the HTTP layer with a
 	// 409 — its lease was revoked and the shard re-leased.
-	straggler := &comfedsv.ShardObservations{Lo: doomedLease.Task.Lo, Hi: doomedLease.Task.Hi}
+	straggler := &utility.CellBatch{N: 4, Cells: []utility.SnapshotCell{{Round: 0, Mask: 0b1, Value: 0.5}}}
 	straggler.Stamp()
-	err := doomed.Complete(ctx, doomedLease.ID, straggler, nil)
+	err := doomed.Complete(ctx, doomedLease.ID, straggler)
 	if err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("straggler completion: %v, want 409 conflict", err)
 	}
@@ -235,7 +239,6 @@ func TestDistributedObservationByteIdenticalWithWorkerLoss(t *testing.T) {
 		"comfedsvd_dispatch_workers_live",
 		"comfedsvd_dispatch_leases_completed_total 3",
 		"comfedsvd_dispatch_leases_expired_total",
-		"comfedsvd_dispatch_digest_mismatches_total 0",
 	} {
 		if !strings.Contains(string(metrics), family) {
 			t.Errorf("metrics missing %q", family)
@@ -286,7 +289,7 @@ func TestDistributedObservationManyWorkersByteIdentical(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatalf("3-worker report differs from all-local execution:\n%s\nvs\n%s", got, want)
 	}
-	if st := coord.Stats(); st.LeasesCompleted != 3 || st.DigestMismatches != 0 {
+	if st := coord.Stats(); st.LeasesCompleted != 3 {
 		t.Fatalf("stats after clean distributed run: %+v", st)
 	}
 }
@@ -317,4 +320,117 @@ func waitJobDone(t *testing.T, base, id string) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("distributed job did not finish in time")
+}
+
+// TestRecoveredJobRejectsTamperedReLeasedShard pins the determinism
+// check on the one-format wire. A recovered job re-leases its journaled
+// shards; a worker ships one back as a re-stamped CellBatch with one
+// altered value. The coordinator absorbs the batch and replays the shard
+// locally, so the altered value reaches the shard's digest, and the job
+// must fail with the journal's determinism-violation error naming that
+// shard — never finish with a different report. The daemons run with the
+// cell cache disabled, so the restarted evaluator is cold and the
+// tampered cell is not already cached. bigJob selects 22 clients, so
+// FedSV's sampled baseline leaves the mid-sized coalitions the tamperer
+// alters unevaluated.
+func TestRecoveredJobRejectsTamperedReLeasedShard(t *testing.T) {
+	const seed = 61
+	jobsDir, runsDir := t.TempDir(), t.TempDir()
+	jobs1, err := persist.NewJobStore(jobsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The first daemon runs every shard locally and dies just before the
+	// complete record, so every shard's digest is journaled.
+	ts1, _ := crashableDaemon(t, service.Config{
+		Workers:          2,
+		Store:            jobs1,
+		RunStore:         mustRunStore(t, runsDir),
+		DisableCellCache: true,
+		FaultHook:        faultinject.CrashNth(faultinject.OpJournalBefore, "complete", 1),
+	})
+	runID := registerRun(t, ts1.URL, bigJob(seed))
+	id := submitOnly(t, ts1.URL, bigMCJobBody(t, runID, seed))
+	st := pollUntil(t, ts1.URL, id, func(st service.Status) bool { return st.State.Terminal() })
+	if st.State != service.StateFailed || !strings.Contains(st.Error, "simulated crash") {
+		t.Fatalf("crashed job: state %s error %q", st.State, st.Error)
+	}
+	ts1.Close()
+
+	// The tampering worker registers before the restarted manager starts,
+	// so the recovered shards are leased instead of run locally.
+	coord := dispatch.NewCoordinator(dispatch.Config{LeaseTTL: time.Minute, WorkerTTL: time.Hour})
+	if err := coord.Register("tamper"); err != nil {
+		t.Fatal(err)
+	}
+	jobs2, err := persist.NewJobStore(jobsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := dispatchDaemon(t, runsDir, coord, service.Config{Workers: 2, Store: jobs2, DisableCellCache: true})
+
+	run, err := mustRunStore(t, runsDir).LoadRun(runID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := comfedsv.NewTrainedRun(run)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tampered := make(chan int, 1)
+	go func() {
+		cl := dispatch.NewClient(ts2.URL, "tamper")
+		first := true
+		for ctx.Err() == nil {
+			lease, err := cl.Lease(ctx, time.Second)
+			if err != nil || lease == nil {
+				continue
+			}
+			task := lease.Task
+			if err := comfedsv.ObserveSlice(ctx, tr, task.Budget, task.Seed, 2, task.Lo, task.Hi); err != nil {
+				cl.Fail(ctx, lease.ID, err.Error())
+				continue
+			}
+			cells := tr.ExportNewCells()
+			if first && alterMidCoalition(cells, run.NumClients()) {
+				first = false
+				tampered <- task.Shard
+			}
+			cl.Complete(ctx, lease.ID, cells)
+		}
+	}()
+
+	st = pollUntil(t, ts2.URL, id, func(st service.Status) bool { return st.State.Terminal() })
+	var shard int
+	select {
+	case shard = <-tampered:
+	default:
+		t.Fatalf("no shard was tampered with; job ended %s (%s)", st.State, st.Error)
+	}
+	if st.State != service.StateFailed {
+		t.Fatalf("job over a tampered shard ended %s, want failed", st.State)
+	}
+	if want := fmt.Sprintf("recovered shard %d ", shard); !strings.Contains(st.Error, want) || !strings.Contains(st.Error, "determinism violation") {
+		t.Fatalf("job error %q, want a determinism violation naming shard %d", st.Error, shard)
+	}
+	if code, _ := getBody(t, ts2.URL+"/v1/jobs/"+id+"/report"); code == http.StatusOK {
+		t.Fatal("a job over a tampered shard served a report")
+	}
+}
+
+// alterMidCoalition changes the value of the batch's first cell whose
+// coalition has between 2 and n-2 members, then re-stamps the batch so
+// its digest verifies. It reports whether it found such a cell.
+func alterMidCoalition(b *utility.CellBatch, n int) bool {
+	if b == nil {
+		return false
+	}
+	for i := range b.Cells {
+		if k := bits.OnesCount64(b.Cells[i].Mask); k >= 2 && k <= n-2 {
+			b.Cells[i].Value += 1
+			b.Stamp()
+			return true
+		}
+	}
+	return false
 }

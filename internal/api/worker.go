@@ -18,12 +18,12 @@ import (
 //	POST /v1/worker/heartbeat   refresh a worker's liveness
 //	POST /v1/worker/deregister  graceful worker shutdown; revokes its leases
 //	POST /v1/worker/lease       long-poll for the next shard task (204 = no work)
-//	POST /v1/worker/complete    report a digest-verified shard result
+//	POST /v1/worker/complete    report a shard's newly evaluated cells (a CellBatch)
 //	POST /v1/worker/fail        report a worker-side failure for a lease
 //
-// Error codes: 409 for an unknown or already-revoked lease (the shard was
-// re-leased; the result is discarded), 422 for a digest mismatch (a
-// determinism violation — loud, never retried), 503 when shutting down.
+// Error codes: 400 for a malformed body or a cell batch whose digest does
+// not verify, 409 for an unknown or already-revoked lease (the shard was
+// re-leased; the result is discarded), 503 when shutting down.
 
 // maxLeaseWait bounds one long-poll window server-side so abandoned
 // connections cannot pin handler goroutines past it.
@@ -125,15 +125,11 @@ func (s *Server) workerComplete(w http.ResponseWriter, r *http.Request) {
 	if !decodeWorker(w, r, &req) {
 		return
 	}
-	err := s.dispatch.Complete(req.LeaseID, req.Observations, req.Cells)
-	var mismatch *dispatch.DigestMismatchError
-	switch {
+	switch err := s.dispatch.Complete(req.LeaseID, req.Cells); {
 	case errors.Is(err, dispatch.ErrUnknownLease):
 		// The lease was revoked (deadline, dead worker) and the shard
 		// re-leased; this straggler's work is discarded.
 		writeError(w, http.StatusConflict, err)
-	case errors.As(err, &mismatch):
-		writeError(w, http.StatusUnprocessableEntity, err)
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
 	default:
@@ -171,12 +167,10 @@ func (s *Server) writeDispatchMetrics(b interface{ WriteString(string) (int, err
 	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_leases_active %d\n", st.LeasesActive))
 	b.WriteString("# HELP comfedsvd_dispatch_leases_granted_total Shard leases granted to workers.\n# TYPE comfedsvd_dispatch_leases_granted_total counter\n")
 	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_leases_granted_total %d\n", st.LeasesGranted))
-	b.WriteString("# HELP comfedsvd_dispatch_leases_completed_total Leases resolved by a digest-verified result.\n# TYPE comfedsvd_dispatch_leases_completed_total counter\n")
+	b.WriteString("# HELP comfedsvd_dispatch_leases_completed_total Leases resolved by a worker result.\n# TYPE comfedsvd_dispatch_leases_completed_total counter\n")
 	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_leases_completed_total %d\n", st.LeasesCompleted))
 	b.WriteString("# HELP comfedsvd_dispatch_leases_failed_total Leases the worker reported as failed.\n# TYPE comfedsvd_dispatch_leases_failed_total counter\n")
 	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_leases_failed_total %d\n", st.LeasesFailed))
 	b.WriteString("# HELP comfedsvd_dispatch_leases_expired_total Leases revoked by deadline expiry or worker loss.\n# TYPE comfedsvd_dispatch_leases_expired_total counter\n")
 	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_leases_expired_total %d\n", st.LeasesExpired))
-	b.WriteString("# HELP comfedsvd_dispatch_digest_mismatches_total Determinism violations detected at the wire (disagreeing shard digests).\n# TYPE comfedsvd_dispatch_digest_mismatches_total counter\n")
-	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_digest_mismatches_total %d\n", st.DigestMismatches))
 }

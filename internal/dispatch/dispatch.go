@@ -9,28 +9,30 @@
 //     registry with heartbeats and liveness expiry. It never re-plans
 //     work — a task is an exact permutation slice of a job whose plan is
 //     a pure function of (trace, budget, seed), so any worker that
-//     rebuilds the plan from the shared run store derives identical
-//     observations.
+//     rebuilds the plan from the shared run store evaluates the same
+//     utility cells.
 //   - Workers long-poll for leases, hydrate the training trace from the
 //     shared persist.RunStore via the content-addressed run ID, evaluate
-//     their slice locally, and report the cells with their content
-//     digest. The coordinator verifies the digest on import and compares
-//     duplicate completions of re-leased tasks — a mismatch is a loud
-//     determinism failure, never a silently different report.
+//     their slice locally, and report the cells they newly evaluated as
+//     one utility.CellBatch. That batch is the only thing on the wire.
+//     The coordinator checks its content digest and hands it to the
+//     waiting Execute; it cannot check the values themselves without the
+//     training trace.
+//   - The caller of Execute preloads the batch into the run's evaluator
+//     and then replays the shard locally, so every cell the worker
+//     evaluated is a memo hit. The shard's observations, its journal
+//     digest and its utility-call bill come from the same code path as a
+//     local shard's, and a recovered job's journaled digest checks remote
+//     shards exactly as it checks local ones.
 //   - A lease lost to a dead or expired worker fails the waiting Execute
 //     with a transient error, which rides the scheduler's existing
 //     deterministic retry ladder back to a fresh lease (or to local
-//     execution when no live workers remain).
-//   - Completions may piggyback the worker's newly evaluated utility
-//     cells (a utility.CellBatch). The coordinator carries the batch
-//     opaquely — it cannot verify cells without the training trace — and
-//     hands it to the waiting Execute, whose caller preloads and persists
-//     it. Losing a delta (failed lease, straggler) is only a lost
-//     optimization, never a correctness issue.
+//     execution when no live workers remain). A lost batch (failed
+//     lease, straggler) only costs the replay some local evaluations.
 //
 // The package is dependency-free beyond the standard library and the
-// internal/shapley and internal/utility wire types, so service and api
-// can both import it without cycles.
+// internal/utility wire type, so service and api can both import it
+// without cycles.
 package dispatch
 
 import (
@@ -41,7 +43,6 @@ import (
 	"sync"
 	"time"
 
-	"comfedsv/internal/shapley"
 	"comfedsv/internal/utility"
 )
 
@@ -61,9 +62,8 @@ func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) 
 // Task is one observation-shard lease payload: everything a worker needs
 // to rebuild the job's observation plan from the shared run store and
 // evaluate its permutation slice. Budget and Seed are the plan identity —
-// permutation sampling and prefix-column registration are pure functions
-// of (trace, Budget, Seed), so the worker's dense column indices match
-// the coordinator's.
+// permutation sampling is a pure function of (Budget, Seed), so the
+// worker evaluates exactly the cells the coordinator's replay requests.
 type Task struct {
 	// JobID is the owning job (diagnostic; not needed to compute).
 	JobID string `json:"job_id"`
@@ -79,13 +79,6 @@ type Task struct {
 	// Seed is the job's raw Options.Seed (the worker applies the same
 	// internal derivation the coordinator's prepare stage does).
 	Seed int64 `json:"seed"`
-}
-
-// key addresses a task for duplicate-completion digest comparison: two
-// executions of the same slice of the same job must derive identical
-// observations.
-func (t Task) key() string {
-	return fmt.Sprintf("%s/%d:%d-%d", t.JobID, t.Shard, t.Lo, t.Hi)
 }
 
 // Lease is one granted task lease. The worker must Complete or Fail it
@@ -127,18 +120,6 @@ func (e *WorkerError) Error() string {
 }
 
 func (e *WorkerError) Transient() bool { return true }
-
-// DigestMismatchError reports two executions of one task deriving
-// different observation digests — a determinism violation. It is NOT
-// transient: retrying cannot make both answers right, so it fails loudly.
-type DigestMismatchError struct {
-	Key       string
-	Got, Want string
-}
-
-func (e *DigestMismatchError) Error() string {
-	return fmt.Sprintf("dispatch: task %s re-derived digest %s but an earlier execution recorded %s: determinism violation", e.Key, e.Got, e.Want)
-}
 
 // ErrNoWorkers fails an Execute fast when no live worker is registered.
 // It is transient so the retry ladder re-evaluates remote eligibility —
@@ -188,16 +169,11 @@ type Stats struct {
 	LeasesFailed uint64
 	// LeasesExpired counts leases revoked by deadline or worker loss.
 	LeasesExpired uint64
-	// DigestMismatches counts determinism violations detected at the
-	// wire: duplicate completions disagreeing, or a result whose stamped
-	// digest does not match its cells.
-	DigestMismatches uint64
 }
 
 // outcome resolves one Execute.
 type outcome struct {
-	obs   *shapley.ShardObservations
-	cells *utility.CellBatch // optional cache delta riding the completion
+	cells *utility.CellBatch // nil when the worker evaluated nothing new
 	err   error
 }
 
@@ -231,18 +207,13 @@ type Coordinator struct {
 	waiters []chan struct{} // parked Lease long-polls
 	leases  map[string]*activeLease
 	workers map[string]*workerState
-	// digests pins the first verified digest of every completed task key
-	// for the lifetime of the coordinator, so a straggler completion of a
-	// re-leased shard is compared, not trusted.
-	digests map[string]string
 	closed  bool
 	seq     uint64 // lease id counter
 
-	granted    uint64
-	completed  uint64
-	failed     uint64
-	expired    uint64
-	mismatches uint64
+	granted   uint64
+	completed uint64
+	failed    uint64
+	expired   uint64
 }
 
 // NewCoordinator returns a coordinator with the given config.
@@ -260,7 +231,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg:     cfg,
 		leases:  make(map[string]*activeLease),
 		workers: make(map[string]*workerState),
-		digests: make(map[string]string),
 	}
 }
 
@@ -336,21 +306,21 @@ func (c *Coordinator) liveWorkersLocked() int {
 }
 
 // Execute queues one shard task for remote execution and blocks until a
-// worker returns a digest-verified result, the lease chain fails, or ctx
-// is done. Lost leases and worker-side failures return transient errors
-// (the scheduler's retry ladder re-executes, re-evaluating remote
-// eligibility); a digest mismatch returns a permanent determinism error.
-// The returned CellBatch is the worker's unverified cache delta, nil
-// when the completion carried none.
-func (c *Coordinator) Execute(ctx context.Context, task Task) (*shapley.ShardObservations, *utility.CellBatch, error) {
+// worker returns its result, the lease chain fails, or ctx is done. Lost
+// leases and worker-side failures return transient errors (the
+// scheduler's retry ladder re-executes, re-evaluating remote
+// eligibility). The returned CellBatch is the worker's digest-checked
+// cell delta, nil when the worker evaluated nothing new; its values are
+// unverified until the caller preloads them against the run.
+func (c *Coordinator) Execute(ctx context.Context, task Task) (*utility.CellBatch, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
 	if c.liveWorkersLocked() == 0 {
 		c.mu.Unlock()
-		return nil, nil, ErrNoWorkers
+		return nil, ErrNoWorkers
 	}
 	entry := &pending{task: task, done: make(chan outcome, 1)}
 	c.queue = append(c.queue, entry)
@@ -360,17 +330,17 @@ func (c *Coordinator) Execute(ctx context.Context, task Task) (*shapley.ShardObs
 	for {
 		select {
 		case out := <-entry.done:
-			return out.obs, out.cells, out.err
+			return out.cells, out.err
 		case <-ctx.Done():
 			c.abandon(entry)
-			return nil, nil, ctx.Err()
+			return nil, ctx.Err()
 		case <-c.cfg.Clock.After(c.cfg.WorkerTTL):
 			// Re-check the fleet while queued: a task enqueued just before
 			// the last worker died would otherwise wait forever — nobody
 			// polls an empty registry. Leased entries keep their own
 			// deadline watchdog.
 			if c.withdrawIfStranded(entry) {
-				return nil, nil, ErrNoWorkers
+				return nil, ErrNoWorkers
 			}
 		}
 	}
@@ -528,50 +498,27 @@ func (c *Coordinator) resolveLocked(id string) (*activeLease, bool) {
 	return al, true
 }
 
-// Complete resolves a lease with a worker's result. The observations are
-// digest-verified (stamped digest recomputed from the cells) and
-// compared against any earlier verified execution of the same task — a
-// disagreement is a loud determinism failure charged to this call, and
-// the waiting Execute (if any) also fails permanently. A completion for
-// an unknown or already-revoked lease returns ErrUnknownLease after the
-// digest comparison, so a straggler worker still gets its answer checked.
-// cells, if non-nil, is the worker's utility-cache delta; it is carried
-// opaquely to the waiting Execute (the coordinator has no trace to
-// verify it against — the service-side preload does).
-func (c *Coordinator) Complete(leaseID string, obs *shapley.ShardObservations, cells *utility.CellBatch) error {
-	if obs == nil {
-		return errors.New("dispatch: nil observations")
+// Complete resolves a lease with a worker's result: the cells the
+// worker newly evaluated, nil when it evaluated nothing new. A batch
+// whose stamped digest does not match its cells is rejected and the
+// lease stays active, so the worker may still Fail it. A completion for
+// an unknown or already-revoked lease returns ErrUnknownLease — the
+// shard was re-leased and this straggler's batch is discarded.
+func (c *Coordinator) Complete(leaseID string, cells *utility.CellBatch) error {
+	if cells != nil {
+		if err := cells.Verify(); err != nil {
+			return err
+		}
 	}
-	if err := obs.Verify(); err != nil {
-		c.mu.Lock()
-		c.mismatches++
-		c.mu.Unlock()
-		return err
-	}
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	al, active := c.resolveLocked(leaseID)
-	var key string
-	if active {
-		key = al.entry.task.key()
-	} else {
-		// A revoked lease's task may since have completed via a re-lease;
-		// find the pinned digest by scanning is impossible without the
-		// task, so stragglers are only comparable while active. Unknown
-		// lease, digest already self-verified: reject the report.
+	al, ok := c.resolveLocked(leaseID)
+	if !ok {
 		return ErrUnknownLease
 	}
-	if want, ok := c.digests[key]; ok && want != obs.Digest {
-		c.mismatches++
-		err := &DigestMismatchError{Key: key, Got: obs.Digest, Want: want}
-		al.entry.done <- outcome{err: err}
-		return err
-	}
-	c.digests[key] = obs.Digest
 	c.completed++
-	c.logf("lease completed", "lease", leaseID, "worker", al.worker, "digest", obs.Digest)
-	al.entry.done <- outcome{obs: obs, cells: cells}
+	c.logf("lease completed", "lease", leaseID, "worker", al.worker)
+	al.entry.done <- outcome{cells: cells}
 	return nil
 }
 
@@ -591,38 +538,18 @@ func (c *Coordinator) Fail(leaseID, msg string) error {
 	return nil
 }
 
-// VerifyDigest compares an externally journaled digest for a task
-// against the coordinator's pinned one, pinning it if absent — the seam
-// the scheduler uses to tie the lease table to the job journal's shard
-// digests.
-func (c *Coordinator) VerifyDigest(task Task, digest string) error {
-	if digest == "" {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := task.key()
-	if want, ok := c.digests[key]; ok && want != digest {
-		c.mismatches++
-		return &DigestMismatchError{Key: key, Got: digest, Want: want}
-	}
-	c.digests[key] = digest
-	return nil
-}
-
 // Stats snapshots the coordinator's counters.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		WorkersLive:      c.liveWorkersLocked(),
-		TasksQueued:      len(c.queue),
-		LeasesActive:     len(c.leases),
-		LeasesGranted:    c.granted,
-		LeasesCompleted:  c.completed,
-		LeasesFailed:     c.failed,
-		LeasesExpired:    c.expired,
-		DigestMismatches: c.mismatches,
+		WorkersLive:     c.liveWorkersLocked(),
+		TasksQueued:     len(c.queue),
+		LeasesActive:    len(c.leases),
+		LeasesGranted:   c.granted,
+		LeasesCompleted: c.completed,
+		LeasesFailed:    c.failed,
+		LeasesExpired:   c.expired,
 	}
 }
 

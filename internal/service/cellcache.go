@@ -14,10 +14,10 @@ import (
 // sidecar when the trace becomes available (freshly trained or recovered
 // from disk), newly evaluated cells are flushed back at the merge-wave
 // and job-completion boundaries, and remote workers ship their deltas
-// home with each shard completion. Cells are pure functions of the
-// training trace, so a warm cache returns exactly the values a cold one
-// would recompute — reports stay byte-identical; only the wall-clock
-// changes.
+// home as each shard completion's only payload. Cells are pure functions
+// of the training trace, so a warm cache returns exactly the values a
+// cold one would recompute — reports stay byte-identical; only the
+// wall-clock changes.
 //
 // The cache is strictly an optimization, so every failure path degrades
 // rather than fails: an unreadable or unverifiable sidecar is
@@ -127,19 +127,19 @@ func (m *Manager) flushCells(j *job, stage string) error {
 	return nil
 }
 
-// absorbCells installs a remote worker's cell delta into the job's run
-// evaluator and, when it contributed anything new, appends the batch to
-// the sidecar so the warmth survives a restart. The batch is verified
-// here (digest plus per-cell bounds against the actual run) — dispatch
-// carried it opaquely. A bad batch is dropped with a log line, never
-// quarantining the sidecar it never touched; an append failure is
-// best-effort except for a simulated crash, mirroring flushCells.
+// absorbCells installs a remote worker's cell batch into the job's run
+// evaluator, so the shard's local replay finds every cell the worker
+// evaluated. This happens whether or not the persistent cell cache is
+// enabled — without it the replay would re-evaluate the whole shard.
+// Only the sidecar append, which makes the warmth survive a restart, is
+// gated on the cache. The batch is verified here (digest plus per-cell
+// bounds against the actual run). A bad batch is dropped with a log line
+// and the replay evaluates locally; it never quarantines the sidecar it
+// never touched. An append failure is best-effort except for a simulated
+// crash, mirroring flushCells.
 func (m *Manager) absorbCells(j *job, b *utility.CellBatch) error {
-	if b == nil || j.runID == "" || !m.cellCacheEnabled() {
-		return nil
-	}
 	tr := jobTrainedRun(j)
-	if tr == nil {
+	if b == nil || tr == nil {
 		return nil
 	}
 	added, err := tr.PreloadCells(b)
@@ -156,6 +156,9 @@ func (m *Manager) absorbCells(j *job, b *utility.CellBatch) error {
 	m.mu.Lock()
 	m.cellsPreloaded += int64(added)
 	m.mu.Unlock()
+	if j.runID == "" || !m.cellCacheEnabled() {
+		return nil
+	}
 	if err := m.cfg.RunStore.AppendCells(j.runID, b, cellStageWorker, m.cfg.FaultHook); err != nil {
 		if errors.Is(err, faultinject.ErrCrash) {
 			return err

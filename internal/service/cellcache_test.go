@@ -219,8 +219,9 @@ func TestDisableCellCacheKnob(t *testing.T) {
 }
 
 // TestCorruptSidecarQuarantinedJobRunsCold injects both corruption shapes
-// — an unparseable line and a well-formed batch with a wrong digest — and
-// requires the same degradation either way: the sidecar is quarantined,
+// — an unparseable line, a well-formed batch with a wrong digest, and a
+// batch whose value overflows to a non-finite float — and requires the
+// same degradation every time: the sidecar is quarantined,
 // the counter ticks, and the job completes byte-identically cold. A
 // damaged cache must never fail a job.
 func TestCorruptSidecarQuarantinedJobRunsCold(t *testing.T) {
@@ -242,6 +243,19 @@ func TestCorruptSidecarQuarantinedJobRunsCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			return append(raw, '\n')
+		}},
+		{"non-finite-value", func(t *testing.T) []byte {
+			// JSON cannot carry NaN or ±Inf, so an overflowing literal is
+			// the only way a non-finite value reaches a sidecar; the
+			// decoder rejects it before Preload's own finiteness check.
+			b := &utility.CellBatch{N: 4, Cells: []utility.SnapshotCell{{Round: 0, Mask: 0b1, Value: 0.5}}}
+			b.Stamp()
+			raw, err := json.Marshal(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw = bytes.Replace(raw, []byte(`"value":0.5`), []byte(`"value":1e999`), 1)
 			return append(raw, '\n')
 		}},
 	}
@@ -286,7 +300,7 @@ func TestCorruptSidecarQuarantinedJobRunsCold(t *testing.T) {
 					t.Fatal("valid batches before the corrupt one were not preloaded")
 				}
 			} else {
-				// An unparseable line poisons the whole read: the job runs
+				// An undecodable line poisons the whole read: the job runs
 				// cold and its flushes start a clean sidecar a third daemon
 				// warm-starts from as if nothing happened.
 				if met.CellsPreloaded != 0 {

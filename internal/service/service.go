@@ -153,7 +153,9 @@ type Config struct {
 	// evaluations the first job already paid for. Cells are pure functions
 	// of the trace, so warmth never changes a byte of any report; the knob
 	// exists for A/B comparison and for tests that need a guaranteed cold
-	// cache.
+	// cache. A remote worker's cell batch is still absorbed into the
+	// run's in-memory evaluator — the shard's local replay reads it from
+	// there — but it is not appended to the sidecar.
 	DisableCellCache bool
 	// DefaultParallelism is the Options.Parallelism applied to submissions
 	// that leave it 0: the per-task CPU budget for the valuation hot path.

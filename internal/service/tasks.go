@@ -46,12 +46,11 @@ type traceCarrier interface {
 // observation shards can be leased to remote workers: the shard's
 // permutation slice plus the plan identity (budget, with the seed coming
 // from the job options) let a worker rebuild an identical plan from the
-// shared run store, and ImportShard installs the digest-verified result
-// as if the shard had run locally.
+// shared run store and evaluate the cells the shard's local replay then
+// finds in the memo table.
 type remoteShardable interface {
 	ObservationBudget() int
 	ShardSlice(shard int) (lo, hi int, ok bool)
-	ImportShard(shard int, obs *comfedsv.ShardObservations) error
 }
 
 // newValuation picks the staged pipeline for a submission: the real
@@ -175,10 +174,6 @@ func (p *pipelineValuation) ObservationBudget() int { return p.v.ObservationBudg
 
 func (p *pipelineValuation) ShardSlice(shard int) (int, int, bool) { return p.v.ShardSlice(shard) }
 
-func (p *pipelineValuation) ImportShard(shard int, obs *comfedsv.ShardObservations) error {
-	return p.v.ImportShard(shard, obs)
-}
-
 // monoValuation runs a whole legacy Config.Value / Config.ValueRun hook as
 // a single observation task, so substituted pipelines keep working on the
 // staged scheduler: a one-shard graph whose observe stage is the entire
@@ -253,8 +248,9 @@ func (m *Manager) prepareTask(j *job) *task {
 // digest, and — on a recovered job — verifies the re-executed shard
 // re-derived exactly the observations the journal recorded, turning any
 // determinism violation into a loud failure instead of a silently
-// different report. The last shard to finish enqueues the
-// merge+completion stage.
+// different report. A remote shard first leases its slice and absorbs the
+// worker's cells, then runs the same local ObserveShard, so both checks
+// cover it. The last shard to finish enqueues the merge+completion stage.
 func (m *Manager) observeTask(j *job, shard int) *task {
 	t := &task{
 		j:     j,
@@ -266,7 +262,8 @@ func (m *Manager) observeTask(j *job, shard int) *task {
 			if err := m.remoteObserve(ctx, j, shard); err != nil {
 				return err
 			}
-		} else if err := j.val.ObserveShard(ctx, shard); err != nil {
+		}
+		if err := j.val.ObserveShard(ctx, shard); err != nil {
 			return err
 		}
 		var digest string
@@ -288,16 +285,15 @@ func (m *Manager) observeTask(j *job, shard int) *task {
 	return t
 }
 
-// remoteObserve executes one observation shard through the dispatch
-// coordinator: the shard's permutation slice is leased to a remote
-// worker, which rebuilds the job's plan from the shared run store and
-// returns digest-verified observations that ImportShard installs as if
-// the shard had run locally. On a recovered job the journaled shard
-// digest is pinned in the coordinator first, so the worker's result is
-// compared against it at the wire — the HTTP-layer half of the
-// determinism contract. Lost leases and worker failures return transient
-// errors; the retry ladder re-executes the task, re-evaluating remote
-// eligibility.
+// remoteObserve leases one observation shard's permutation slice to a
+// remote worker through the dispatch coordinator and absorbs the cells
+// the worker evaluated into the run's evaluator. The caller then replays
+// the shard locally, exactly as a local shard runs: every absorbed cell
+// is a memo hit, and the shard's observations, journal digest and
+// utility-call bill come from that one local path. A recovered job's
+// journaled digest therefore checks remote shards like local ones. Lost
+// leases and worker failures return transient errors; the retry ladder
+// re-executes the task, re-evaluating remote eligibility.
 func (m *Manager) remoteObserve(ctx context.Context, j *job, shard int) error {
 	rv, ok := j.val.(remoteShardable)
 	if !ok {
@@ -307,7 +303,7 @@ func (m *Manager) remoteObserve(ctx context.Context, j *job, shard int) error {
 	if !ok {
 		return fmt.Errorf("service: shard %d has no leasable permutation slice", shard)
 	}
-	task := dispatch.Task{
+	cells, err := m.cfg.Dispatcher.Execute(ctx, dispatch.Task{
 		JobID:  j.id,
 		RunID:  j.runID,
 		Shard:  shard,
@@ -315,21 +311,10 @@ func (m *Manager) remoteObserve(ctx context.Context, j *job, shard int) error {
 		Hi:     hi,
 		Budget: rv.ObservationBudget(),
 		Seed:   j.opts.Seed,
-	}
-	if want, ok := j.wantDigests[shard]; ok {
-		if err := m.cfg.Dispatcher.VerifyDigest(task, want); err != nil {
-			return err
-		}
-	}
-	obs, cells, err := m.cfg.Dispatcher.Execute(ctx, task)
+	})
 	if err != nil {
 		return err
 	}
-	if err := rv.ImportShard(shard, obs); err != nil {
-		return err
-	}
-	// The worker's cache delta rides the completion: warm the shared
-	// evaluator and persist the batch so the warmth survives a restart.
 	return m.absorbCells(j, cells)
 }
 

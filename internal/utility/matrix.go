@@ -3,6 +3,7 @@ package utility
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -111,12 +112,12 @@ func (e *Evaluator) WarmHits() int { return int(e.warmHits.Load()) }
 // Preload installs a batch of previously evaluated cells into the memo
 // table without counting them as Calls, so a warm-started evaluator's
 // distinct-evaluation ledger still reflects only the work this process
-// performed. The batch's digest, universe, and every cell's coordinates
-// are validated before anything is installed — a bad batch changes
-// nothing and returns an error so the caller can quarantine its source.
-// Cells already cached (evaluated or preloaded) are skipped; the count of
-// newly installed cells is returned. Preloaded cells are never re-exported
-// by ExportNew.
+// performed. The batch's digest, universe, every cell's coordinates and
+// the finiteness of every value are validated before anything is
+// installed — a bad batch changes nothing and returns an error so the
+// caller can quarantine its source. Cells already cached (evaluated or
+// preloaded) are skipped; the count of newly installed cells is returned.
+// Preloaded cells are never re-exported by ExportNew.
 func (e *Evaluator) Preload(b *CellBatch) (int, error) {
 	if b == nil || len(b.Cells) == 0 {
 		return 0, nil
@@ -134,6 +135,9 @@ func (e *Evaluator) Preload(b *CellBatch) (int, error) {
 		c := &b.Cells[i]
 		if c.Round < 0 || c.Round >= rounds {
 			return 0, fmt.Errorf("utility: cell round %d outside run of %d rounds", c.Round, rounds)
+		}
+		if math.IsNaN(c.Value) || math.IsInf(c.Value, 0) {
+			return 0, fmt.Errorf("utility: non-finite cell value %v in round %d", c.Value, c.Round)
 		}
 		ck, err := cellKeyOf(n, c)
 		if err != nil {

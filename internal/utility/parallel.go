@@ -83,22 +83,6 @@ func ParallelFullMatrix(run *fl.Run, workers int) *mat.Dense {
 	return u
 }
 
-// EvaluateBatch computes the utilities of the given (round, subset) cells
-// concurrently and returns them in input order. Like ParallelFullMatrix it
-// bypasses the Evaluator cache entirely; use it for large one-shot batches
-// where memoization would not pay off.
-func EvaluateBatch(run *fl.Run, cells []Cell, workers int) []float64 {
-	out := make([]float64, len(cells))
-	forEachIndex(context.Background(), len(cells), workers, func(i int) {
-		c := cells[i]
-		if c.Subset.IsEmpty() {
-			return // out[i] stays 0, the empty coalition's utility
-		}
-		out[i] = run.Utility(c.Round, c.Subset.Members())
-	})
-	return out
-}
-
 // Cell addresses one utility-matrix entry.
 type Cell struct {
 	Round  int

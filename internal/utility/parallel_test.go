@@ -1,9 +1,6 @@
 package utility
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestParallelFullMatrixMatchesSerial(t *testing.T) {
 	run := tinyRun(t, 5, 4, 2)
@@ -23,33 +20,5 @@ func TestParallelFullMatrixMatchesSerial(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestEvaluateBatch(t *testing.T) {
-	run := tinyRun(t, 4, 3, 2)
-	e := NewEvaluator(run)
-	cells := []Cell{
-		{Round: 0, Subset: FromMembers(4, []int{0})},
-		{Round: 1, Subset: FromMembers(4, []int{1, 2})},
-		{Round: 2, Subset: NewSet(4)}, // empty → 0
-		{Round: 2, Subset: FromMembers(4, []int{0, 1, 2, 3})},
-	}
-	got := EvaluateBatch(run, cells, 3)
-	if len(got) != len(cells) {
-		t.Fatalf("got %d results, want %d", len(got), len(cells))
-	}
-	for i, c := range cells {
-		want := e.Utility(c.Round, c.Subset)
-		if math.Abs(got[i]-want) > 1e-15 {
-			t.Fatalf("cell %d: %v, want %v", i, got[i], want)
-		}
-	}
-}
-
-func TestEvaluateBatchEmptyInput(t *testing.T) {
-	run := tinyRun(t, 3, 2, 2)
-	if got := EvaluateBatch(run, nil, 2); len(got) != 0 {
-		t.Fatalf("expected empty result, got %v", got)
 	}
 }

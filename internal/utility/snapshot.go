@@ -23,10 +23,10 @@ type SnapshotCell struct {
 }
 
 // CellBatch is a canonical batch of memoized cells — the unit the
-// cell-cache sidecar appends and the dispatch path ships between workers
-// and the coordinator. Cells are sorted by (round, coalition) and Digest
-// is an FNV-1a content hash over coordinates and raw IEEE-754 value bits,
-// mirroring the shapley.ShardObservations wire conventions, so an import
+// cell-cache sidecar appends and the only payload a remote worker ships
+// back to the coordinator, which preloads it and replays the shard
+// locally. Cells are sorted by (round, coalition) and Digest is an FNV-1a
+// content hash over coordinates and raw IEEE-754 value bits, so an import
 // can verify a batch is exactly what its producer evaluated before
 // trusting a byte of it.
 type CellBatch struct {

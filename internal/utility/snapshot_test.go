@@ -1,6 +1,7 @@
 package utility
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -172,6 +173,9 @@ func TestPreloadRejectsBadBatches(t *testing.T) {
 			b.Stamp()
 			return b
 		}()},
+		{"nan-value", nonFinite(math.NaN())},
+		{"pos-inf-value", nonFinite(math.Inf(1))},
+		{"neg-inf-value", nonFinite(math.Inf(-1))},
 	}
 	for _, tc := range cases {
 		e := NewEvaluator(run)
@@ -179,10 +183,24 @@ func TestPreloadRejectsBadBatches(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: preload accepted a bad batch", tc.name)
 		}
+		if strings.HasSuffix(tc.name, "-value") && !strings.Contains(err.Error(), "round 1") {
+			t.Fatalf("%s: error %q does not name the cell's round", tc.name, err)
+		}
 		if added != 0 || e.Preloaded() != 0 {
 			t.Fatalf("%s: rejected batch still installed cells (added %d, preloaded %d)", tc.name, added, e.Preloaded())
 		}
 	}
+}
+
+// nonFinite is a stamped batch whose second cell, in round 1, carries v;
+// the valid first cell checks that the rejection installs nothing.
+func nonFinite(v float64) *CellBatch {
+	b := &CellBatch{N: 4, Cells: []SnapshotCell{
+		{Round: 0, Mask: 0b1, Value: 0.5},
+		{Round: 1, Mask: 0b11, Value: v},
+	}}
+	b.Stamp()
+	return b
 }
 
 // TestPreloadAtomicOnMixedBatch pins the all-or-nothing contract: a batch

@@ -7,58 +7,31 @@ import (
 	"comfedsv/internal/shapley"
 )
 
-// ShardObservations is the wire form of one observation shard's evaluated
-// utility cells — the payload a comfedsv-worker ships back to the
-// comfedsvd coordinator, carrying the same content digest the job journal
-// records for locally executed shards.
-type ShardObservations = shapley.ShardObservations
-
-// ObservedCell is one evaluated utility-matrix entry in wire form.
-type ObservedCell = shapley.ObservedCell
-
-// ShardObserver is the worker-side half of distributed observation: a
-// Monte-Carlo observation plan rebuilt from a trained run plus the
-// coordinator's (budget, seed) lease parameters, able to evaluate any
-// permutation slice of the job. Permutation sampling and prefix-column
-// registration are pure functions of (trace, budget, seed), so the
-// worker's dense column indices — and therefore its observation digests —
-// match the coordinator's exactly.
+// ObserveSlice is the worker-side half of distributed observation. It
+// rebuilds a job's Monte-Carlo observation plan from the trained run and
+// the lease parameters, then evaluates the prefix cells of the permutation
+// slice [lo, hi) into the run's shared memo table. budget is the job's
+// resolved permutation budget and seed its raw Options.Seed (the same
+// internal derivation Valuation.Prepare applies is applied here), so the
+// cells are exactly those the coordinator's own shard walk requests.
+// parallelism bounds the evaluation pool and may differ from the
+// coordinator's without perturbing any value.
 //
-// A ShardObserver only observes. It never merges, completes, or extracts;
-// those stages stay on the coordinator, which verifies each imported
-// shard's digest before merging.
-type ShardObserver struct {
-	plan *shapley.MonteCarloPlan
-}
-
-// NewShardObserver rebuilds the observation plan of a job from its
-// trained run and the lease parameters: budget is the job's resolved
-// permutation budget and seed its raw Options.Seed (the observer applies
-// the same internal derivation the coordinator's Prepare does).
-// parallelism bounds the evaluation pool per slice, and may differ from
-// the coordinator's without perturbing results. Exact (non-sampled) jobs
-// have no permutation structure to lease, so budget must be positive.
-func NewShardObserver(ctx context.Context, tr *TrainedRun, budget int, seed int64, parallelism int) (*ShardObserver, error) {
+// Nothing is returned but an error: the worker ships the evaluated cells
+// home with TrainedRun.ExportNewCells, and the coordinator replays the
+// shard locally against them. Distinct slices are safe to evaluate
+// concurrently.
+func ObserveSlice(ctx context.Context, tr *TrainedRun, budget int, seed int64, parallelism, lo, hi int) error {
 	if budget <= 0 {
-		return nil, fmt.Errorf("comfedsv: shard observer requires a positive permutation budget, got %d", budget)
+		return fmt.Errorf("comfedsv: observing a slice requires a positive permutation budget, got %d", budget)
 	}
-	plan, err := shapley.NewMonteCarloPlan(ctx, tr.eval.NewSession(), shapley.MonteCarloConfig{
+	plan, err := shapley.NewMonteCarloPlan(ctx, tr.eval, shapley.MonteCarloConfig{
 		Samples: budget,
 		Seed:    seed + 1,
 		Workers: parallelism,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &ShardObserver{plan: plan}, nil
-}
-
-// Budget returns the permutation budget the observer was built with.
-func (o *ShardObserver) Budget() int { return o.plan.Budget() }
-
-// ObserveSlice evaluates the prefix cells of the permutation slice
-// [lo, hi) and returns them in wire form with their content digest.
-// Distinct slices are safe to evaluate concurrently.
-func (o *ShardObserver) ObserveSlice(ctx context.Context, lo, hi int) (*ShardObservations, error) {
-	return o.plan.ObserveSlice(ctx, lo, hi)
+	return plan.ObserveSlice(ctx, lo, hi)
 }

@@ -243,8 +243,8 @@ func (v *Valuation) ShardDigest(shard int) string {
 }
 
 // ObservationBudget returns the job's resolved permutation budget — the
-// sample count a worker-side ShardObserver must be built with so its
-// plan matches this valuation's. Exact pipelines (no permutation
+// budget a worker passes to ObserveSlice so its plan matches this
+// valuation's. Exact pipelines (no permutation
 // structure) return 0; call it after Prepare.
 func (v *Valuation) ObservationBudget() int {
 	switch {
@@ -274,29 +274,6 @@ func (v *Valuation) ShardSlice(shard int) (lo, hi int, ok bool) {
 		return 0, 0, false
 	}
 	return lo, hi, true
-}
-
-// ImportShard installs a remotely evaluated shard's observations as if
-// ObserveShard had run locally: the slice coordinates must match the
-// shard's planned range and the content digest must verify, so a corrupt
-// or mis-addressed result fails loudly instead of perturbing the report.
-// After a successful import, ShardDigest(shard) returns the imported
-// digest and the merge consumes the cells exactly as local ones.
-func (v *Valuation) ImportShard(shard int, obs *ShardObservations) error {
-	var err error
-	switch {
-	case v.adaptive != nil:
-		err = v.adaptive.ImportShard(shard, obs)
-	case v.mcPlan != nil:
-		err = v.mcPlan.ImportShard(shard, obs)
-	default:
-		return errors.New("comfedsv: exact pipelines have no observation shards to import")
-	}
-	if err != nil {
-		return err
-	}
-	v.emit(Progress{Stage: StageObserve, Done: int(v.observed.Add(1)), Total: v.shards})
-	return nil
 }
 
 // Complete merges the shard observations in deterministic serial order and
