@@ -2,8 +2,8 @@
 // a work-pull daemon that registers with a comfedsvd coordinator, long-polls
 // POST /v1/worker/lease for observation-shard leases, evaluates each leased
 // permutation slice against the training trace hydrated from the shared run
-// store, and reports the utility cells it newly evaluated as one
-// digest-stamped CellBatch. The coordinator preloads the batch and replays
+// store, and reports every utility cell the slice touched as one
+// digest-stamped CellBatch. The coordinator absorbs the batch and replays
 // the shard locally against it, so adding workers (or losing one
 // mid-shard — its lease expires and the shard is re-leased) never changes
 // a byte of any report.
@@ -12,9 +12,8 @@
 // functions of the trace, independent of any job's budget or seed — and
 // warm-started from the run's `<runID>.cells` sidecar when present, so a
 // worker skips every evaluation some earlier job, process, or peer
-// already paid for. Each completion ships the cells the lease newly
-// evaluated back to the coordinator, which persists them for the next
-// reader. A damaged sidecar is quarantined and the run proceeds cold;
+// already paid for. The coordinator persists the cells it adopts from
+// each completion for the next reader. A damaged sidecar is quarantined and the run proceeds cold;
 // the cache is an optimization, never a correctness dependency.
 //
 // The worker needs exactly two things from the deployment: the
@@ -260,34 +259,30 @@ func (w *worker) serve(ctx context.Context, lease *dispatch.Lease) {
 		return
 	}
 	if err := w.client.Complete(ctx, lease.ID, cells); err != nil {
-		// The cell delta dies with the failed report — ExportNewCells
-		// already drained it. Only an optimization is lost: the
-		// re-leased shard (here or elsewhere) re-derives the cells.
+		// Nothing is lost with the failed report: the lease deadline
+		// re-leases the shard, and whoever takes it ships the slice's
+		// full cell set again — from the memo table, if it lands here.
 		log.Warn("reporting shard", "error", err)
 		return
 	}
-	newCells := 0
-	if cells != nil {
-		newCells = len(cells.Cells)
-	}
-	log.Info("shard completed", "new_cells", newCells,
+	log.Info("shard completed", "cells", len(cells.Cells),
 		"elapsed", time.Since(start).Round(time.Millisecond))
 }
 
 // observe walks the leased permutation slice against the cached
-// (sidecar-warmed) run and drains the newly evaluated utility cells to
-// ship home as the completion. serve calls are serial, so the drained
-// delta is exactly this lease's contribution (plus any cells a previously
-// failed report lost custody of — re-exporting those is harmless).
+// (sidecar-warmed) run and returns every utility cell the walk touched —
+// evaluated now or already memoized — to ship home as the completion, so
+// the coordinator's replay finds the whole shard whatever it has cached.
 func (w *worker) observe(ctx context.Context, t dispatch.Task) (*comfedsv.CellBatch, error) {
 	tr, err := w.trainedRun(t.RunID)
 	if err != nil {
 		return nil, err
 	}
-	if err := comfedsv.ObserveSlice(ctx, tr, t.Budget, t.Seed, w.parallelism, t.Lo, t.Hi); err != nil {
+	cells, err := comfedsv.ObserveSlice(ctx, tr, t.Budget, t.Seed, w.parallelism, t.Lo, t.Hi)
+	if err != nil {
 		return nil, fmt.Errorf("observing run %s slice [%d,%d): %w", t.RunID, t.Lo, t.Hi, err)
 	}
-	return tr.ExportNewCells(), nil
+	return cells, nil
 }
 
 // trainedRun returns the cached hydrated run for runID, loading the

@@ -301,10 +301,19 @@ func (tr *TrainedRun) PreloadCells(b *CellBatch) (int, error) {
 	return tr.eval.Preload(b)
 }
 
+// AdoptCells installs cells evaluated elsewhere — a remote worker's
+// checked shard — into the shared evaluator as if this process had
+// evaluated them: they serve every valuation over the run and are
+// exported by the next ExportNewCells. Validated like PreloadCells;
+// returns the number of newly installed cells.
+func (tr *TrainedRun) AdoptCells(b *CellBatch) (int, error) {
+	return tr.eval.Adopt(b)
+}
+
 // ExportNewCells drains and returns the cells this process evaluated since
-// the last drain (excluding preloaded ones) as a stamped canonical batch,
-// or nil if nothing new was evaluated — what a service flush persists and
-// a worker ships with its shard completions.
+// the last drain (adopted ones included, preloaded ones excluded) as a
+// stamped canonical batch, or nil if nothing new was evaluated — what a
+// service flush persists.
 func (tr *TrainedRun) ExportNewCells() *CellBatch {
 	return tr.eval.ExportNew()
 }

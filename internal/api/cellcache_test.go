@@ -215,11 +215,12 @@ func runCellWorker(ctx context.Context, t *testing.T, base, id, runsDir string, 
 			}
 			trained[task.RunID] = tr
 		}
-		if err := comfedsv.ObserveSlice(ctx, tr, task.Budget, task.Seed, 2, task.Lo, task.Hi); err != nil {
+		cells, err := comfedsv.ObserveSlice(ctx, tr, task.Budget, task.Seed, 2, task.Lo, task.Hi)
+		if err != nil {
 			cl.Fail(ctx, lease.ID, err.Error())
 			continue
 		}
-		if err := cl.Complete(ctx, lease.ID, tr.ExportNewCells()); err != nil && ctx.Err() == nil {
+		if err := cl.Complete(ctx, lease.ID, cells); err != nil && ctx.Err() == nil {
 			t.Errorf("worker %s: complete: %v", id, err)
 		}
 	}
@@ -272,7 +273,7 @@ func TestRemoteWorkerCellCacheWarmStart(t *testing.T) {
 		t.Fatal("worker-evaluated cells never reached the daemon's sidecar")
 	}
 	if v := cellMetric(t, met1, "comfedsvd_cellcache_preloaded_total"); v == 0 {
-		t.Fatal("worker deltas were not absorbed into the daemon's evaluator")
+		t.Fatal("worker cells were not adopted into the daemon's evaluator")
 	}
 	cancel1()
 

@@ -47,7 +47,7 @@ func dispatchDaemon(t *testing.T, runsDir string, coord *dispatch.Coordinator, c
 
 // runWorker is cmd/comfedsv-worker's loop in-process: register, long-poll
 // for leases, hydrate the trace from the shared run store, walk the leased
-// permutation slice, and report the newly evaluated cells.
+// permutation slice, and report every cell the walk touched.
 func runWorker(ctx context.Context, t *testing.T, base, id, runsDir string) {
 	runs, err := persist.NewRunStore(runsDir)
 	if err != nil {
@@ -78,11 +78,12 @@ func runWorker(ctx context.Context, t *testing.T, base, id, runsDir string) {
 			tr = comfedsv.NewTrainedRun(run)
 			trained[task.RunID] = tr
 		}
-		if err := comfedsv.ObserveSlice(ctx, tr, task.Budget, task.Seed, 2, task.Lo, task.Hi); err != nil {
+		cells, err := comfedsv.ObserveSlice(ctx, tr, task.Budget, task.Seed, 2, task.Lo, task.Hi)
+		if err != nil {
 			cl.Fail(ctx, lease.ID, err.Error())
 			continue
 		}
-		if err := cl.Complete(ctx, lease.ID, tr.ExportNewCells()); err != nil && ctx.Err() == nil {
+		if err := cl.Complete(ctx, lease.ID, cells); err != nil && ctx.Err() == nil {
 			t.Errorf("worker %s: complete: %v", id, err)
 		}
 	}
@@ -325,16 +326,34 @@ func waitJobDone(t *testing.T, base, id string) {
 // TestRecoveredJobRejectsTamperedReLeasedShard pins the determinism
 // check on the one-format wire. A recovered job re-leases its journaled
 // shards; a worker ships one back as a re-stamped CellBatch with one
-// altered value. The coordinator absorbs the batch and replays the shard
-// locally, so the altered value reaches the shard's digest, and the job
-// must fail with the journal's determinism-violation error naming that
-// shard — never finish with a different report. The daemons run with the
-// cell cache disabled, so the restarted evaluator is cold and the
-// tampered cell is not already cached. bigJob selects 22 clients, so
-// FedSV's sampled baseline leaves the mid-sized coalitions the tamperer
-// alters unevaluated.
+// altered value. The coordinator absorbs the batch into the job's own
+// session and replays the shard locally, so the altered value reaches the
+// shard's digest, and the job must fail with the journal's
+// determinism-violation error naming that shard — never finish with a
+// different report. The rejected cells must not outlive the job: a fresh
+// job on the same run afterwards, run locally against the run's shared
+// evaluator, reports exactly what the all-local job reports, and with the
+// cell cache on the altered value never reaches the run's sidecar. The absorbed batch takes precedence over anything
+// cached, so the check holds with the cache on as well as off. bigJob
+// selects 22 clients, so FedSV's sampled baseline leaves the mid-sized
+// coalitions the tamperer alters unevaluated.
 func TestRecoveredJobRejectsTamperedReLeasedShard(t *testing.T) {
 	const seed = 61
+	localTS := testDaemon(t, service.Config{Workers: 2, RunStore: mustRunStore(t, t.TempDir())})
+	localID := submitAndWait(t, localTS.URL, bigMCJobBody(t, registerRun(t, localTS.URL, bigJob(seed)), seed))
+	code, local := getBody(t, localTS.URL+"/v1/jobs/"+localID+"/report")
+	if code != http.StatusOK {
+		t.Fatalf("GET all-local report: %d", code)
+	}
+	for _, cache := range []bool{false, true} {
+		cache := cache
+		t.Run(fmt.Sprintf("cell-cache=%v", cache), func(t *testing.T) {
+			testTamperedReLease(t, seed, !cache, local)
+		})
+	}
+}
+
+func testTamperedReLease(t *testing.T, seed int64, noCache bool, local []byte) {
 	jobsDir, runsDir := t.TempDir(), t.TempDir()
 	jobs1, err := persist.NewJobStore(jobsDir)
 	if err != nil {
@@ -347,7 +366,7 @@ func TestRecoveredJobRejectsTamperedReLeasedShard(t *testing.T) {
 		Workers:          2,
 		Store:            jobs1,
 		RunStore:         mustRunStore(t, runsDir),
-		DisableCellCache: true,
+		DisableCellCache: noCache,
 		FaultHook:        faultinject.CrashNth(faultinject.OpJournalBefore, "complete", 1),
 	})
 	runID := registerRun(t, ts1.URL, bigJob(seed))
@@ -368,7 +387,7 @@ func TestRecoveredJobRejectsTamperedReLeasedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2 := dispatchDaemon(t, runsDir, coord, service.Config{Workers: 2, Store: jobs2, DisableCellCache: true})
+	ts2 := dispatchDaemon(t, runsDir, coord, service.Config{Workers: 2, Store: jobs2, DisableCellCache: noCache})
 
 	run, err := mustRunStore(t, runsDir).LoadRun(runID)
 	if err != nil {
@@ -377,7 +396,11 @@ func TestRecoveredJobRejectsTamperedReLeasedShard(t *testing.T) {
 	tr := comfedsv.NewTrainedRun(run)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	tampered := make(chan int, 1)
+	type tamper struct {
+		shard int
+		cell  utility.SnapshotCell
+	}
+	tampered := make(chan tamper, 1)
 	go func() {
 		cl := dispatch.NewClient(ts2.URL, "tamper")
 		first := true
@@ -387,50 +410,82 @@ func TestRecoveredJobRejectsTamperedReLeasedShard(t *testing.T) {
 				continue
 			}
 			task := lease.Task
-			if err := comfedsv.ObserveSlice(ctx, tr, task.Budget, task.Seed, 2, task.Lo, task.Hi); err != nil {
+			cells, err := comfedsv.ObserveSlice(ctx, tr, task.Budget, task.Seed, 2, task.Lo, task.Hi)
+			if err != nil {
 				cl.Fail(ctx, lease.ID, err.Error())
 				continue
 			}
-			cells := tr.ExportNewCells()
-			if first && alterMidCoalition(cells, run.NumClients()) {
-				first = false
-				tampered <- task.Shard
+			if first {
+				if c, ok := alterMidCoalition(cells, run.NumClients()); ok {
+					first = false
+					tampered <- tamper{task.Shard, c}
+				}
 			}
 			cl.Complete(ctx, lease.ID, cells)
 		}
 	}()
 
 	st = pollUntil(t, ts2.URL, id, func(st service.Status) bool { return st.State.Terminal() })
-	var shard int
+	var bad tamper
 	select {
-	case shard = <-tampered:
+	case bad = <-tampered:
 	default:
 		t.Fatalf("no shard was tampered with; job ended %s (%s)", st.State, st.Error)
 	}
 	if st.State != service.StateFailed {
 		t.Fatalf("job over a tampered shard ended %s, want failed", st.State)
 	}
-	if want := fmt.Sprintf("recovered shard %d ", shard); !strings.Contains(st.Error, want) || !strings.Contains(st.Error, "determinism violation") {
-		t.Fatalf("job error %q, want a determinism violation naming shard %d", st.Error, shard)
+	if want := fmt.Sprintf("recovered shard %d ", bad.shard); !strings.Contains(st.Error, want) || !strings.Contains(st.Error, "determinism violation") {
+		t.Fatalf("job error %q, want a determinism violation naming shard %d", st.Error, bad.shard)
 	}
 	if code, _ := getBody(t, ts2.URL+"/v1/jobs/"+id+"/report"); code == http.StatusOK {
 		t.Fatal("a job over a tampered shard served a report")
+	}
+
+	// The same job submitted afresh on the same run must not inherit the
+	// rejected value. With the worker gone its shards run locally, so
+	// every cell comes from the run's shared evaluator.
+	cancel()
+	coord.Deregister("tamper")
+	fresh := submitAndWait(t, ts2.URL, bigMCJobBody(t, runID, seed))
+	code, got := getBody(t, ts2.URL+"/v1/jobs/"+fresh+"/report")
+	if code != http.StatusOK {
+		t.Fatalf("GET fresh report: %d", code)
+	}
+	if !bytes.Equal(local, got) {
+		t.Fatalf("fresh job after the rejected shard differs from the all-local report:\n%s\nvs\n%s", got, local)
+	}
+	batches, err := mustRunStore(t, runsDir).ReadCells(runID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !noCache && len(batches) == 0 {
+		t.Fatal("cell cache on, but the fresh job persisted no cells")
+	}
+	for _, b := range batches {
+		for _, c := range b.Cells {
+			if c.Round == bad.cell.Round && c.Mask == bad.cell.Mask && c.Value == bad.cell.Value {
+				t.Fatalf("the rejected value of cell (round %d, mask %#x) reached the sidecar", c.Round, c.Mask)
+			}
+		}
 	}
 }
 
 // alterMidCoalition changes the value of the batch's first cell whose
 // coalition has between 2 and n-2 members, then re-stamps the batch so
-// its digest verifies. It reports whether it found such a cell.
-func alterMidCoalition(b *utility.CellBatch, n int) bool {
+// its digest verifies. It returns the altered cell and whether it found
+// such a cell.
+func alterMidCoalition(b *utility.CellBatch, n int) (utility.SnapshotCell, bool) {
 	if b == nil {
-		return false
+		return utility.SnapshotCell{}, false
 	}
 	for i := range b.Cells {
 		if k := bits.OnesCount64(b.Cells[i].Mask); k >= 2 && k <= n-2 {
 			b.Cells[i].Value += 1
+			c := b.Cells[i]
 			b.Stamp()
-			return true
+			return c, true
 		}
 	}
-	return false
+	return utility.SnapshotCell{}, false
 }

@@ -18,7 +18,7 @@ import (
 //	POST /v1/worker/heartbeat   refresh a worker's liveness
 //	POST /v1/worker/deregister  graceful worker shutdown; revokes its leases
 //	POST /v1/worker/lease       long-poll for the next shard task (204 = no work)
-//	POST /v1/worker/complete    report a shard's newly evaluated cells (a CellBatch)
+//	POST /v1/worker/complete    report every cell a shard touched (a CellBatch)
 //	POST /v1/worker/fail        report a worker-side failure for a lease
 //
 // Error codes: 400 for a malformed body or a cell batch whose digest does

@@ -36,9 +36,9 @@ type LeaseRequest struct {
 	WaitSeconds float64 `json:"wait_seconds,omitempty"`
 }
 
-// CompleteRequest reports one evaluated shard: the utility cells the
-// worker newly evaluated for it, omitted when there were none. The
-// coordinator replays the shard against them.
+// CompleteRequest reports one evaluated shard: every utility cell the
+// worker's slice walk touched. The coordinator replays the shard against
+// them.
 type CompleteRequest struct {
 	LeaseID string             `json:"lease_id"`
 	Cells   *utility.CellBatch `json:"cells,omitempty"`
@@ -155,8 +155,8 @@ func (c *Client) Lease(ctx context.Context, wait time.Duration) (*Lease, error) 
 	return &lease, nil
 }
 
-// Complete reports one evaluated shard with the cells the worker newly
-// evaluated for it (nil when there were none).
+// Complete reports one evaluated shard with every cell the worker's
+// slice walk touched.
 func (c *Client) Complete(ctx context.Context, leaseID string, cells *utility.CellBatch) error {
 	_, err := c.post(ctx, "/v1/worker/complete", CompleteRequest{LeaseID: leaseID, Cells: cells}, nil)
 	return err

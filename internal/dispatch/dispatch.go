@@ -13,14 +13,14 @@
 //     utility cells.
 //   - Workers long-poll for leases, hydrate the training trace from the
 //     shared persist.RunStore via the content-addressed run ID, evaluate
-//     their slice locally, and report the cells they newly evaluated as
+//     their slice locally, and report every cell the slice touched as
 //     one utility.CellBatch. That batch is the only thing on the wire.
 //     The coordinator checks its content digest and hands it to the
 //     waiting Execute; it cannot check the values themselves without the
 //     training trace.
-//   - The caller of Execute preloads the batch into the run's evaluator
-//     and then replays the shard locally, so every cell the worker
-//     evaluated is a memo hit. The shard's observations, its journal
+//   - The caller of Execute absorbs the batch into the job's session and
+//     then replays the shard locally, so every cell of the shard is
+//     served from the batch. The shard's observations, its journal
 //     digest and its utility-call bill come from the same code path as a
 //     local shard's, and a recovered job's journaled digest checks remote
 //     shards exactly as it checks local ones.
@@ -28,7 +28,7 @@
 //     with a transient error, which rides the scheduler's existing
 //     deterministic retry ladder back to a fresh lease (or to local
 //     execution when no live workers remain). A lost batch (failed
-//     lease, straggler) only costs the replay some local evaluations.
+//     lease, straggler) is recomputed in full by the shard's next lease.
 //
 // The package is dependency-free beyond the standard library and the
 // internal/utility wire type, so service and api can both import it
@@ -310,8 +310,8 @@ func (c *Coordinator) liveWorkersLocked() int {
 // leases and worker-side failures return transient errors (the
 // scheduler's retry ladder re-executes, re-evaluating remote
 // eligibility). The returned CellBatch is the worker's digest-checked
-// cell delta, nil when the worker evaluated nothing new; its values are
-// unverified until the caller preloads them against the run.
+// cell set for the slice; its values are unverified until the caller
+// validates them against the run and replays the shard.
 func (c *Coordinator) Execute(ctx context.Context, task Task) (*utility.CellBatch, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -498,8 +498,8 @@ func (c *Coordinator) resolveLocked(id string) (*activeLease, bool) {
 	return al, true
 }
 
-// Complete resolves a lease with a worker's result: the cells the
-// worker newly evaluated, nil when it evaluated nothing new. A batch
+// Complete resolves a lease with a worker's result: every cell its slice
+// walk touched. A batch
 // whose stamped digest does not match its cells is rejected and the
 // lease stays active, so the worker may still Fail it. A completion for
 // an unknown or already-revoked lease returns ErrUnknownLease — the

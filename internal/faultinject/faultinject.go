@@ -38,8 +38,8 @@ const (
 	// OpCellsBefore is consulted before a cell-cache batch is appended to
 	// a run's sidecar (an injected crash here loses the batch);
 	// OpCellsAfter after the batch is durably on disk (a crash here keeps
-	// it). Stage is the flush boundary the producer names (e.g. "merge",
-	// "extract", or "worker"); Shard is -1; JobID carries the run ID.
+	// it). Stage is the flush boundary the producer names ("merge" or
+	// "extract"); Shard is -1; JobID carries the run ID.
 	OpCellsBefore = "cells.before"
 	OpCellsAfter  = "cells.after"
 	// OpQuarantine is consulted between a journal quarantine's rename and

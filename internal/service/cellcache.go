@@ -12,12 +12,12 @@ import (
 // `<runID>.cells` sidecar in the RunStore — an append-only log of
 // evaluated utility cells. A run's evaluator is warm-started from the
 // sidecar when the trace becomes available (freshly trained or recovered
-// from disk), newly evaluated cells are flushed back at the merge-wave
-// and job-completion boundaries, and remote workers ship their deltas
-// home as each shard completion's only payload. Cells are pure functions
-// of the training trace, so a warm cache returns exactly the values a
-// cold one would recompute — reports stay byte-identical; only the
-// wall-clock changes.
+// from disk), and newly evaluated cells are flushed back at the
+// merge-wave and job-completion boundaries — cells a remote worker
+// evaluated included, once their shard's local replay adopted them.
+// Cells are pure functions of the training trace, so a warm cache
+// returns exactly the values a cold one would recompute — reports stay
+// byte-identical; only the wall-clock changes.
 //
 // The cache is strictly an optimization, so every failure path degrades
 // rather than fails: an unreadable or unverifiable sidecar is
@@ -30,7 +30,6 @@ import (
 const (
 	cellStageMerge   = "merge"   // completeTask, after a merge wave
 	cellStageExtract = "extract" // extractTask, before the report persists
-	cellStageWorker  = "worker"  // remoteObserve, absorbing a worker delta
 )
 
 // cellCacheEnabled reports whether the persistent cell cache is active.
@@ -127,47 +126,27 @@ func (m *Manager) flushCells(j *job, stage string) error {
 	return nil
 }
 
-// absorbCells installs a remote worker's cell batch into the job's run
-// evaluator, so the shard's local replay finds every cell the worker
-// evaluated. This happens whether or not the persistent cell cache is
-// enabled — without it the replay would re-evaluate the whole shard.
-// Only the sidecar append, which makes the warmth survive a restart, is
-// gated on the cache. The batch is verified here (digest plus per-cell
-// bounds against the actual run). A bad batch is dropped with a log line
-// and the replay evaluates locally; it never quarantines the sidecar it
-// never touched. An append failure is best-effort except for a simulated
-// crash, mirroring flushCells.
-func (m *Manager) absorbCells(j *job, b *utility.CellBatch) error {
+// adoptCells promotes a remote worker's batch — absorbed into the job's
+// session and checked by the shard's local replay — into the run's shared
+// evaluator, so later jobs on the run reuse the cells. Adopted cells
+// count as evaluated by this process, so the job's next flush appends the
+// new ones to the sidecar; they are counted as warm-started only when the
+// cell cache is enabled. The batch passed the same validation when it was
+// absorbed; should adoption still fail, the cells are merely not shared.
+func (m *Manager) adoptCells(j *job, b *utility.CellBatch) {
 	tr := jobTrainedRun(j)
 	if b == nil || tr == nil {
-		return nil
+		return
 	}
-	added, err := tr.PreloadCells(b)
+	added, err := tr.AdoptCells(b)
 	if err != nil {
 		m.logJob("worker cell batch rejected", j, "error", err.Error())
-		return nil
+		return
 	}
-	if added == 0 {
-		// Everything in the batch is already cached locally (durable, or
-		// pending a flush of its own); appending would only bloat the
-		// sidecar with duplicates.
-		return nil
+	if added == 0 || !m.cellCacheEnabled() {
+		return
 	}
 	m.mu.Lock()
 	m.cellsPreloaded += int64(added)
 	m.mu.Unlock()
-	if j.runID == "" || !m.cellCacheEnabled() {
-		return nil
-	}
-	if err := m.cfg.RunStore.AppendCells(j.runID, b, cellStageWorker, m.cfg.FaultHook); err != nil {
-		if errors.Is(err, faultinject.ErrCrash) {
-			return err
-		}
-		m.logJob("cell cache append failed", j, "stage", cellStageWorker, "error", err.Error())
-		return nil
-	}
-	m.mu.Lock()
-	m.cellsPersisted += int64(len(b.Cells))
-	m.mu.Unlock()
-	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"comfedsv"
 	"comfedsv/internal/dispatch"
 	"comfedsv/internal/persist"
+	"comfedsv/internal/utility"
 )
 
 // stagedValuation is the scheduler's view of one job's pipeline: the stage
@@ -46,11 +47,12 @@ type traceCarrier interface {
 // observation shards can be leased to remote workers: the shard's
 // permutation slice plus the plan identity (budget, with the seed coming
 // from the job options) let a worker rebuild an identical plan from the
-// shared run store and evaluate the cells the shard's local replay then
-// finds in the memo table.
+// shared run store and evaluate the cells, which AbsorbCells installs
+// for the shard's local replay.
 type remoteShardable interface {
 	ObservationBudget() int
 	ShardSlice(shard int) (lo, hi int, ok bool)
+	AbsorbCells(b *utility.CellBatch) error
 }
 
 // newValuation picks the staged pipeline for a submission: the real
@@ -174,6 +176,8 @@ func (p *pipelineValuation) ObservationBudget() int { return p.v.ObservationBudg
 
 func (p *pipelineValuation) ShardSlice(shard int) (int, int, bool) { return p.v.ShardSlice(shard) }
 
+func (p *pipelineValuation) AbsorbCells(b *utility.CellBatch) error { return p.v.AbsorbCells(b) }
+
 // monoValuation runs a whole legacy Config.Value / Config.ValueRun hook as
 // a single observation task, so substituted pipelines keep working on the
 // staged scheduler: a one-shard graph whose observe stage is the entire
@@ -249,8 +253,10 @@ func (m *Manager) prepareTask(j *job) *task {
 // re-derived exactly the observations the journal recorded, turning any
 // determinism violation into a loud failure instead of a silently
 // different report. A remote shard first leases its slice and absorbs the
-// worker's cells, then runs the same local ObserveShard, so both checks
-// cover it. The last shard to finish enqueues the merge+completion stage.
+// worker's cells into the job's own session, then runs the same local
+// ObserveShard, so both checks cover it; only a shard that passed is
+// adopted into the run's shared evaluator. The last shard to finish
+// enqueues the merge+completion stage.
 func (m *Manager) observeTask(j *job, shard int) *task {
 	t := &task{
 		j:     j,
@@ -258,8 +264,10 @@ func (m *Manager) observeTask(j *job, shard int) *task {
 		shard: shard,
 	}
 	t.run = func(ctx context.Context) error {
+		var cells *utility.CellBatch
 		if t.remote {
-			if err := m.remoteObserve(ctx, j, shard); err != nil {
+			var err error
+			if cells, err = m.remoteObserve(ctx, j, shard); err != nil {
 				return err
 			}
 		}
@@ -273,6 +281,7 @@ func (m *Manager) observeTask(j *job, shard int) *task {
 		if want, ok := j.wantDigests[shard]; ok && digest != "" && digest != want {
 			return fmt.Errorf("service: recovered shard %d re-derived digest %s but the journal recorded %s: determinism violation", shard, digest, want)
 		}
+		m.adoptCells(j, cells)
 		return m.appendJournal(j, persist.JournalRecord{Type: persist.RecTask, Stage: taskObserve, Shard: shard, Digest: digest})
 	}
 	t.done = func() {
@@ -287,21 +296,24 @@ func (m *Manager) observeTask(j *job, shard int) *task {
 
 // remoteObserve leases one observation shard's permutation slice to a
 // remote worker through the dispatch coordinator and absorbs the cells
-// the worker evaluated into the run's evaluator. The caller then replays
-// the shard locally, exactly as a local shard runs: every absorbed cell
-// is a memo hit, and the shard's observations, journal digest and
-// utility-call bill come from that one local path. A recovered job's
-// journaled digest therefore checks remote shards like local ones. Lost
+// the worker returned — every cell its slice walk touched — into the
+// job's own session. The caller then replays the shard locally, exactly
+// as a local shard runs: every absorbed cell is a hit, and the shard's
+// observations, journal digest and utility-call bill come from that one
+// local path. A recovered job's journaled digest therefore checks remote
+// shards like local ones. The absorbed batch is returned for adoption
+// once the shard passes; a batch that fails validation is dropped with a
+// log line (nil is returned) and the replay evaluates locally. Lost
 // leases and worker failures return transient errors; the retry ladder
 // re-executes the task, re-evaluating remote eligibility.
-func (m *Manager) remoteObserve(ctx context.Context, j *job, shard int) error {
+func (m *Manager) remoteObserve(ctx context.Context, j *job, shard int) (*utility.CellBatch, error) {
 	rv, ok := j.val.(remoteShardable)
 	if !ok {
-		return fmt.Errorf("service: shard %d claimed remote but the pipeline is not remotable", shard)
+		return nil, fmt.Errorf("service: shard %d claimed remote but the pipeline is not remotable", shard)
 	}
 	lo, hi, ok := rv.ShardSlice(shard)
 	if !ok {
-		return fmt.Errorf("service: shard %d has no leasable permutation slice", shard)
+		return nil, fmt.Errorf("service: shard %d has no leasable permutation slice", shard)
 	}
 	cells, err := m.cfg.Dispatcher.Execute(ctx, dispatch.Task{
 		JobID:  j.id,
@@ -313,9 +325,13 @@ func (m *Manager) remoteObserve(ctx context.Context, j *job, shard int) error {
 		Seed:   j.opts.Seed,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return m.absorbCells(j, cells)
+	if err := rv.AbsorbCells(cells); err != nil {
+		m.logJob("worker cell batch rejected", j, "shard", shard, "error", err.Error())
+		return nil, nil
+	}
+	return cells, nil
 }
 
 // completeTask merges the shards in deterministic serial order and runs

@@ -42,9 +42,9 @@ type evalShard struct {
 	mu       sync.Mutex
 	cache    map[cellKey]float64
 	inflight map[cellKey]chan struct{}
-	// pending lists the cells this stripe evaluated (not preloaded) since
-	// the last ExportNew drain — the delta the persistent cell cache and
-	// the dispatch path ship.
+	// pending lists the cells this stripe evaluated or adopted (not
+	// preloaded) since the last ExportNew drain — the delta the
+	// persistent cell cache appends.
 	pending []cellKey
 	// preloaded marks cells installed by Preload rather than evaluated
 	// here, so lookups served by a warm start are attributable.
@@ -112,38 +112,34 @@ func (e *Evaluator) WarmHits() int { return int(e.warmHits.Load()) }
 // Preload installs a batch of previously evaluated cells into the memo
 // table without counting them as Calls, so a warm-started evaluator's
 // distinct-evaluation ledger still reflects only the work this process
-// performed. The batch's digest, universe, every cell's coordinates and
-// the finiteness of every value are validated before anything is
+// performed. The batch is validated by batchKeys before anything is
 // installed — a bad batch changes nothing and returns an error so the
 // caller can quarantine its source. Cells already cached (evaluated or
 // preloaded) are skipped; the count of newly installed cells is returned.
 // Preloaded cells are never re-exported by ExportNew.
 func (e *Evaluator) Preload(b *CellBatch) (int, error) {
-	if b == nil || len(b.Cells) == 0 {
-		return 0, nil
-	}
-	n := e.run.NumClients()
-	if b.N != n {
-		return 0, fmt.Errorf("utility: cell batch universe %d, run universe %d", b.N, n)
-	}
-	if err := b.Verify(); err != nil {
+	added, err := e.install(b, false)
+	e.preloaded.Add(int64(added))
+	return added, err
+}
+
+// Adopt installs a batch of cells evaluated elsewhere — a remote worker's
+// shard — as if this evaluator had evaluated them: validated like Preload
+// and likewise not counted as Calls, but queued for ExportNew, so the
+// cells reach the run's sidecar at the next flush exactly like local
+// evaluations. Cells already cached are skipped; the count of newly
+// installed cells is returned.
+func (e *Evaluator) Adopt(b *CellBatch) (int, error) {
+	return e.install(b, true)
+}
+
+// install is the shared core of Preload and Adopt: validate the whole
+// batch, then install every absent cell, marked preloaded or queued for
+// export.
+func (e *Evaluator) install(b *CellBatch, adopt bool) (int, error) {
+	keys, err := e.batchKeys(b)
+	if err != nil {
 		return 0, err
-	}
-	rounds := len(e.run.Rounds)
-	keys := make([]cellKey, len(b.Cells))
-	for i := range b.Cells {
-		c := &b.Cells[i]
-		if c.Round < 0 || c.Round >= rounds {
-			return 0, fmt.Errorf("utility: cell round %d outside run of %d rounds", c.Round, rounds)
-		}
-		if math.IsNaN(c.Value) || math.IsInf(c.Value, 0) {
-			return 0, fmt.Errorf("utility: non-finite cell value %v in round %d", c.Value, c.Round)
-		}
-		ck, err := cellKeyOf(n, c)
-		if err != nil {
-			return 0, err
-		}
-		keys[i] = ck
 	}
 	added := 0
 	for i, ck := range keys {
@@ -151,23 +147,60 @@ func (e *Evaluator) Preload(b *CellBatch) (int, error) {
 		sh.mu.Lock()
 		if _, ok := sh.cache[ck]; !ok {
 			sh.cache[ck] = b.Cells[i].Value
-			if sh.preloaded == nil {
-				sh.preloaded = make(map[cellKey]struct{})
+			if adopt {
+				sh.pending = append(sh.pending, ck)
+			} else {
+				if sh.preloaded == nil {
+					sh.preloaded = make(map[cellKey]struct{})
+				}
+				sh.preloaded[ck] = struct{}{}
 			}
-			sh.preloaded[ck] = struct{}{}
 			added++
 		}
 		sh.mu.Unlock()
 	}
-	e.preloaded.Add(int64(added))
 	return added, nil
+}
+
+// batchKeys validates a batch against this evaluator's run — its digest,
+// its universe, every cell's round and coalition, and the finiteness of
+// every value — and returns the memo-table key of each cell in batch
+// order. A nil or empty batch yields no keys.
+func (e *Evaluator) batchKeys(b *CellBatch) ([]cellKey, error) {
+	if b == nil || len(b.Cells) == 0 {
+		return nil, nil
+	}
+	n := e.run.NumClients()
+	if b.N != n {
+		return nil, fmt.Errorf("utility: cell batch universe %d, run universe %d", b.N, n)
+	}
+	if err := b.Verify(); err != nil {
+		return nil, err
+	}
+	rounds := len(e.run.Rounds)
+	keys := make([]cellKey, len(b.Cells))
+	for i := range b.Cells {
+		c := &b.Cells[i]
+		if c.Round < 0 || c.Round >= rounds {
+			return nil, fmt.Errorf("utility: cell round %d outside run of %d rounds", c.Round, rounds)
+		}
+		if math.IsNaN(c.Value) || math.IsInf(c.Value, 0) {
+			return nil, fmt.Errorf("utility: non-finite cell value %v in round %d", c.Value, c.Round)
+		}
+		ck, err := cellKeyOf(n, c)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = ck
+	}
+	return keys, nil
 }
 
 // ExportNew drains and returns the cells evaluated since the last drain —
 // misses this evaluator actually paid for, excluding preloaded ones — as
-// a canonical stamped batch, or nil if nothing new was evaluated. It is
-// the producer half of the persistent cell cache: the service flushes
-// drains to the run's sidecar, workers ship them with shard completions.
+// a canonical stamped batch, or nil if nothing new was evaluated. Adopted
+// cells count as evaluated here. It is the producer half of the
+// persistent cell cache: the service flushes drains to the run's sidecar.
 // Safe for concurrent use with evaluations; a cell evaluated concurrently
 // with the drain lands in the next batch.
 func (e *Evaluator) ExportNew() *CellBatch {

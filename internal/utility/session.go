@@ -53,6 +53,9 @@ type Session struct {
 type sessionShard struct {
 	mu   sync.Mutex
 	seen map[cellKey]struct{}
+	// absorbed holds cells installed by Absorb: visible to this session
+	// only, and consulted before the shared memo table.
+	absorbed map[cellKey]float64
 }
 
 // NewSession returns a fresh per-job view of the evaluator.
@@ -81,8 +84,9 @@ func (s *Session) Hits() int { return int(s.hits.Load()) }
 // fresh test-loss evaluation.
 func (s *Session) Misses() int { return int(s.misses.Load()) }
 
-// Utility returns U_t(S) through the shared cache, recording the cell in
-// this session's ledger on first request. When two session goroutines race
+// Utility returns U_t(S) — from the cells Absorb installed, else through
+// the shared cache — recording the cell in this session's ledger on first
+// request. When two session goroutines race
 // on the same previously-unseen cell the hit/miss attribution of that one
 // cell may go either way (the total Calls count is always exact); the
 // pipelines request each distinct cell from one goroutine, so in practice
@@ -98,8 +102,12 @@ func (s *Session) Utility(t int, set Set) float64 {
 	if !dup {
 		sh.seen[ck] = struct{}{}
 	}
+	v, held := sh.absorbed[ck]
 	sh.mu.Unlock()
-	v, computed := s.e.utility(t, set, ck)
+	computed := false
+	if !held {
+		v, computed = s.e.utility(t, set, ck)
+	}
 	if !dup {
 		s.distinct.Add(1)
 		if computed {
@@ -109,6 +117,31 @@ func (s *Session) Utility(t int, set Set) float64 {
 		}
 	}
 	return v
+}
+
+// Absorb installs a batch of cells evaluated elsewhere — a remote
+// worker's shard — into this session alone. The batch is validated like
+// Evaluator.Preload, and nothing is installed if it fails. Afterwards this
+// session's lookups of those cells are served from the batch as hits,
+// ahead of the shared memo table, while other sessions never see them:
+// a batch that later turns out wrong dies with its job instead of serving
+// every job on the run. A caller that has checked the batch promotes it
+// to the shared table with Evaluator.Adopt.
+func (s *Session) Absorb(b *CellBatch) error {
+	keys, err := s.e.batchKeys(b)
+	if err != nil {
+		return err
+	}
+	for i, ck := range keys {
+		sh := &s.shards[ck.shard()]
+		sh.mu.Lock()
+		if sh.absorbed == nil {
+			sh.absorbed = make(map[cellKey]float64)
+		}
+		sh.absorbed[ck] = b.Cells[i].Value
+		sh.mu.Unlock()
+	}
+	return nil
 }
 
 // UtilityBatchCtx evaluates the given cells concurrently through the

@@ -24,8 +24,9 @@ type SnapshotCell struct {
 
 // CellBatch is a canonical batch of memoized cells — the unit the
 // cell-cache sidecar appends and the only payload a remote worker ships
-// back to the coordinator, which preloads it and replays the shard
-// locally. Cells are sorted by (round, coalition) and Digest is an FNV-1a
+// back to the coordinator: every cell its permutation slice touched,
+// which the coordinator absorbs into the job's session and replays the
+// shard locally against. Cells are sorted by (round, coalition) and Digest is an FNV-1a
 // content hash over coordinates and raw IEEE-754 value bits, so an import
 // can verify a batch is exactly what its producer evaluated before
 // trusting a byte of it.
@@ -36,6 +37,22 @@ type CellBatch struct {
 	N      int            `json:"n"`
 	Cells  []SnapshotCell `json:"cells"`
 	Digest string         `json:"digest"`
+}
+
+// NewCellBatch builds a stamped batch of the given cells over a universe
+// of n clients, the i-th cell carrying vals[i]. Empty coalitions are
+// skipped — their utility is 0 by convention and never cached.
+func NewCellBatch(n int, cells []Cell, vals []float64) *CellBatch {
+	b := &CellBatch{N: n, Cells: make([]SnapshotCell, 0, len(cells))}
+	for i, c := range cells {
+		if c.Subset.IsEmpty() {
+			continue
+		}
+		mask, key := snapshotKey(cellKey{t: c.Round, set: c.Subset.cacheKey()})
+		b.Cells = append(b.Cells, SnapshotCell{Round: c.Round, Mask: mask, Key: key, Value: vals[i]})
+	}
+	b.Stamp()
+	return b
 }
 
 // keyBytes returns the coalition identity bytes a cell contributes to the

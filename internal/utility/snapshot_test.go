@@ -242,3 +242,79 @@ func TestPreloadNilAndEmpty(t *testing.T) {
 		t.Fatal("empty evaluator exported a batch")
 	}
 }
+
+// TestSessionAbsorbIsJobLocal pins the isolation a remote worker's batch
+// gets before its shard is checked: the absorbing session reads the
+// absorbed values (as hits, ahead of anything cached), no other session
+// or the shared table sees them, and a batch that fails validation
+// installs nothing.
+func TestSessionAbsorbIsJobLocal(t *testing.T) {
+	run := tinyRun(t, 4, 2, 2)
+	e := NewEvaluator(run)
+	a := FromMembers(4, []int{0, 1})
+	honest := e.Utility(0, a)
+	b := NewCellBatch(4, []Cell{{Round: 0, Subset: a}, {Round: 1, Subset: a}}, []float64{honest + 1, 0.5})
+
+	s := e.NewSession()
+	if err := s.Absorb(b); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Utility(0, a); got != honest+1 {
+		t.Fatalf("absorbing session read %v, want the absorbed %v over the cached %v", got, honest+1, honest)
+	}
+	if got := s.Utility(1, a); got != 0.5 {
+		t.Fatalf("absorbing session read %v, want the absorbed 0.5", got)
+	}
+	if s.Calls() != 2 || s.Hits() != 2 || s.Misses() != 0 {
+		t.Fatalf("absorbed lookups billed calls=%d hits=%d misses=%d, want 2/2/0", s.Calls(), s.Hits(), s.Misses())
+	}
+	if got := e.NewSession().Utility(0, a); got != honest {
+		t.Fatalf("another session read %v, want the shared %v", got, honest)
+	}
+	calls := e.Calls()
+	if got := e.Utility(1, a); got == 0.5 || e.Calls() != calls+1 {
+		t.Fatal("an absorbed cell leaked into the shared memo table")
+	}
+
+	bad := NewCellBatch(4, []Cell{{Round: 0, Subset: a}, {Round: 0, Subset: FromMembers(4, []int{2})}}, []float64{7, math.NaN()})
+	s2 := e.NewSession()
+	if err := s2.Absorb(bad); err == nil {
+		t.Fatal("a batch with a NaN value was absorbed")
+	}
+	if got := s2.Utility(0, a); got != honest {
+		t.Fatalf("a rejected batch installed a value: read %v, want %v", got, honest)
+	}
+}
+
+// TestAdoptQueuesForExport pins Adopt's contract: adopted cells serve
+// every lookup without counting as Calls or as preloaded, are exported
+// by the next ExportNew exactly like local evaluations, and cells already
+// cached are skipped.
+func TestAdoptQueuesForExport(t *testing.T) {
+	run := tinyRun(t, 4, 2, 2)
+	src := NewEvaluator(run)
+	a, c := FromMembers(4, []int{0, 1}), FromMembers(4, []int{2, 3})
+	va, vc := src.Utility(0, a), src.Utility(1, c)
+	b := src.ExportNew()
+
+	dst := NewEvaluator(run)
+	dst.Utility(0, a)
+	dst.ExportNew()
+	added, err := dst.Adopt(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added != 1 {
+		t.Fatalf("adopt over a half-warm evaluator added %d, want 1", added)
+	}
+	if got := dst.Utility(1, c); got != vc || dst.Calls() != 1 || dst.Preloaded() != 0 {
+		t.Fatalf("adopted cell read %v (want %v), calls %d (want 1), preloaded %d (want 0)", got, vc, dst.Calls(), dst.Preloaded())
+	}
+	exp := dst.ExportNew()
+	if exp == nil || len(exp.Cells) != 1 || exp.Cells[0].Round != 1 || exp.Cells[0].Value != vc {
+		t.Fatalf("ExportNew after adopt = %+v, want exactly the adopted cell", exp)
+	}
+	if dst.Utility(0, a) != va {
+		t.Fatal("adopt overwrote a cached cell")
+	}
+}

@@ -276,6 +276,16 @@ func (v *Valuation) ShardSlice(shard int) (lo, hi int, ok bool) {
 	return lo, hi, true
 }
 
+// AbsorbCells installs a remote worker's cell batch into this valuation's
+// own session, so the local replay of the leased shard (ObserveShard)
+// finds every cell the worker evaluated — as hits, billed to utility_calls
+// exactly as a local run bills them. No other valuation over the run sees
+// the cells; once the replayed shard checks out, TrainedRun.AdoptCells
+// shares them. A batch that fails validation installs nothing.
+func (v *Valuation) AbsorbCells(b *CellBatch) error {
+	return v.session.Absorb(b)
+}
+
 // Complete merges the shard observations in deterministic serial order and
 // solves the matrix-completion problem. In adaptive mode it is the wave
 // checkpoint: it returns the number of additional observation shards the
