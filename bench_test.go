@@ -265,7 +265,7 @@ func benchSolver(b *testing.B, solver mc.Solver) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := shapley.ComFedSVExact(e, cfg); err != nil {
+		if _, err := shapley.ComFedSVExactCtx(context.Background(), e, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -282,11 +282,11 @@ func benchWeightedReg(b *testing.B, wr bool) {
 	gt := shapley.GroundTruth(e)
 	cfg := mc.DefaultConfig(3)
 	cfg.WeightedReg = wr
-	var res *shapley.ExactResult
+	var res *shapley.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = shapley.ComFedSVExact(e, cfg)
+		res, err = shapley.ComFedSVExactCtx(context.Background(), e, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func BenchmarkAblationMCSamples(b *testing.B) {
 		b.Run(byItoa(samples), func(b *testing.B) {
 			cfg := shapley.MonteCarloConfig{Samples: samples, Completion: mc.DefaultConfig(3), Seed: 203}
 			for i := 0; i < b.N; i++ {
-				if _, err := shapley.MonteCarlo(e, cfg); err != nil {
+				if _, err := shapley.MonteCarloCtx(context.Background(), e, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -333,10 +333,10 @@ func BenchmarkAblationEBH(b *testing.B) {
 				b.Fatal(err)
 			}
 			e := utility.NewEvaluator(run)
-			var res *shapley.MonteCarloResult
+			var res *shapley.Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err = shapley.MonteCarlo(e, shapley.DefaultMonteCarloConfig(6, 3, 207))
+				res, err = shapley.MonteCarloCtx(context.Background(), e, shapley.DefaultMonteCarloConfig(6, 3, 207))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -450,7 +450,7 @@ func BenchmarkAblationAntithetic(b *testing.B) {
 						Antithetic: anti,
 						Seed:       300 + s,
 					}
-					res, err := shapley.MonteCarlo(e, cfg)
+					res, err := shapley.MonteCarloCtx(context.Background(), e, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}

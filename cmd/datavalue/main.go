@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -135,7 +136,7 @@ func main() {
 func comFedSV(eval *utility.Evaluator, rank, samples int, seed int64) ([]float64, error) {
 	n := eval.Run().NumClients()
 	if samples <= 0 && n <= 14 {
-		res, err := shapley.ComFedSVExact(eval, mc.DefaultConfig(rank))
+		res, err := shapley.ComFedSVExactCtx(context.Background(), eval, mc.DefaultConfig(rank))
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +146,7 @@ func comFedSV(eval *utility.Evaluator, rank, samples int, seed int64) ([]float64
 	if samples > 0 {
 		cfg.Samples = samples
 	}
-	res, err := shapley.MonteCarlo(eval, cfg)
+	res, err := shapley.MonteCarloCtx(context.Background(), eval, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -63,11 +63,11 @@ func TestOfflinePipelineRoundTrip(t *testing.T) {
 	}
 	check("fedsv", shapley.FedSV(utility.NewEvaluator(run)), shapley.FedSV(utility.NewEvaluator(loaded)))
 
-	comA, err := shapley.ComFedSVExact(utility.NewEvaluator(run), mc.DefaultConfig(3))
+	comA, err := shapley.ComFedSVExactCtx(context.Background(), utility.NewEvaluator(run), mc.DefaultConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	comB, err := shapley.ComFedSVExact(utility.NewEvaluator(loaded), mc.DefaultConfig(3))
+	comB, err := shapley.ComFedSVExactCtx(context.Background(), utility.NewEvaluator(loaded), mc.DefaultConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}

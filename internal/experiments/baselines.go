@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"comfedsv/internal/baselines"
@@ -106,7 +107,7 @@ func Baselines(cfg BaselinesConfig) (*BaselinesResult, error) {
 		record("fedsv", shapley.FedSV(fedEval), fedEval.Calls())
 
 		comEval := utility.NewEvaluator(run)
-		com, err := shapley.ComFedSVExact(comEval, mc.DefaultConfig(cfg.Rank))
+		com, err := shapley.ComFedSVExactCtx(context.Background(), comEval, mc.DefaultConfig(cfg.Rank))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: baselines trial %d: %w", trial, err)
 		}

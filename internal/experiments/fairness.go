@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"comfedsv/internal/fl"
@@ -113,7 +114,7 @@ func Fairness(cfg FairnessConfig) (*FairnessResult, error) {
 		eval := utility.NewEvaluator(run)
 
 		fedsv := shapley.FedSV(eval)
-		com, err := shapley.ComFedSVExact(eval, mc.DefaultConfig(cfg.Rank))
+		com, err := shapley.ComFedSVExactCtx(context.Background(), eval, mc.DefaultConfig(cfg.Rank))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fairness trial %d: %w", trial, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"comfedsv/internal/dataset"
@@ -99,7 +100,7 @@ func NoisyData(cfg NoisyDataConfig) (*NoisyDataResult, error) {
 
 		gt := shapley.GroundTruth(eval)
 		fedsv := shapley.FedSV(eval)
-		com, err := shapley.ComFedSVExact(eval, mc.DefaultConfig(cfg.Rank))
+		com, err := shapley.ComFedSVExactCtx(context.Background(), eval, mc.DefaultConfig(cfg.Rank))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: noisy-data trial %d: %w", trial, err)
 		}

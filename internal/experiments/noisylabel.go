@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -127,7 +128,7 @@ func NoisyLabel(cfg NoisyLabelConfig) (*NoisyLabelResult, error) {
 			Completion: mc.DefaultConfig(cfg.Rank),
 			Seed:       seed + 3,
 		}
-		com, err := shapley.MonteCarlo(comEval, mcCfg)
+		com, err := shapley.MonteCarloCtx(context.Background(), comEval, mcCfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: noisy-label ComFedSV at %.0f%%: %w", 100*part, err)
 		}

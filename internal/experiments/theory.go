@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -131,7 +132,7 @@ func Theorem1(cfg Theorem1Config) (*Theorem1Result, error) {
 	}
 	eval := utility.NewEvaluator(run)
 
-	com, err := shapley.ComFedSVExact(eval, mc.DefaultConfig(cfg.Rank))
+	com, err := shapley.ComFedSVExactCtx(context.Background(), eval, mc.DefaultConfig(cfg.Rank))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: theorem1: %w", err)
 	}

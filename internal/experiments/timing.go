@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -97,7 +98,7 @@ func Timing(cfg TimingConfig) ([]TimingPoint, error) {
 			Seed:       seed + 3,
 		}
 		start = time.Now()
-		if _, err := shapley.MonteCarlo(comEval, mcCfg); err != nil {
+		if _, err := shapley.MonteCarloCtx(context.Background(), comEval, mcCfg); err != nil {
 			return nil, fmt.Errorf("experiments: timing ComFedSV at N=%d: %w", n, err)
 		}
 		comSec := time.Since(start).Seconds()

@@ -12,60 +12,52 @@ import (
 
 // adaptiveConfig is a small adaptive config exercised by the plan tests:
 // budget 64 cuts into waves [16, 32, 64].
-func adaptiveConfig(shards int, tol float64) AdaptiveConfig {
-	cfg := AdaptiveConfig{MonteCarloConfig: DefaultMonteCarloConfig(6, 3, 51)}
+func adaptiveConfig(shards int, tol float64) MonteCarloConfig {
+	cfg := DefaultMonteCarloConfig(6, 3, 51)
 	cfg.Samples = 64
 	cfg.Shards = shards
 	cfg.Tolerance = tol
 	return cfg
 }
 
-// runAdaptive drives an adaptive plan the way the scheduler would:
-// observe every pending shard (optionally concurrently), Advance, repeat
-// until Advance returns 0, then Extract.
-func runAdaptive(t *testing.T, cfg AdaptiveConfig, concurrent bool) (*AdaptivePlan, *MonteCarloResult) {
+// runAdaptive drives a tolerance-driven plan to completion: serially
+// through Run, or the way the scheduler would — every pending shard of a
+// wave concurrently, then Advance, until Advance returns 0 — then Extract.
+func runAdaptive(t *testing.T, cfg MonteCarloConfig, concurrent bool) (*MonteCarloPlan, *Result) {
 	t.Helper()
 	ctx := context.Background()
 	e := duplicatedEvaluator(t, 500)
-	p, err := NewAdaptivePlan(ctx, e, cfg)
+	p, err := NewMonteCarloPlan(ctx, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := 0
-	pending := p.Shards()
-	for {
-		if concurrent {
-			var wg sync.WaitGroup
-			errs := make([]error, pending)
-			for i := 0; i < pending; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					errs[i] = p.ObserveShard(ctx, next+i)
-				}(i)
-			}
-			wg.Wait()
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("shard %d: %v", next+i, err)
-				}
-			}
-		} else {
-			for i := 0; i < pending; i++ {
-				if err := p.ObserveShard(ctx, next+i); err != nil {
-					t.Fatalf("shard %d: %v", next+i, err)
-				}
-			}
-		}
-		next += pending
-		more, err := p.Advance(ctx)
+	if !concurrent {
+		res, err := Run(ctx, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if more == 0 {
-			break
+		return p, res
+	}
+	for next, pending := 0, p.Shards(); pending > 0; {
+		var wg sync.WaitGroup
+		errs := make([]error, pending)
+		for i := 0; i < pending; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = p.ObserveShard(ctx, next+i)
+			}(i)
 		}
-		pending = more
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("shard %d: %v", next+i, err)
+			}
+		}
+		next += pending
+		if pending, err = p.Advance(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 	res, err := p.Extract(ctx)
 	if err != nil {
@@ -100,14 +92,14 @@ func TestWaveBounds(t *testing.T) {
 func TestAdaptiveShardAndConcurrencyInvariant(t *testing.T) {
 	const tol = 0.2
 	basePlan, base := runAdaptive(t, adaptiveConfig(1, tol), false)
-	if basePlan.Used() >= basePlan.Budget() {
+	if base.Used >= basePlan.Budget() {
 		t.Fatalf("baseline adaptive run used the whole budget (%d) — tolerance too tight to test early stop", basePlan.Budget())
 	}
 	for _, shards := range []int{2, 8} {
 		for _, concurrent := range []bool{false, true} {
-			p, got := runAdaptive(t, adaptiveConfig(shards, tol), concurrent)
-			if p.Used() != basePlan.Used() {
-				t.Fatalf("shards=%d concurrent=%v stopped at %d permutations, want %d", shards, concurrent, p.Used(), basePlan.Used())
+			_, got := runAdaptive(t, adaptiveConfig(shards, tol), concurrent)
+			if got.Used != base.Used {
+				t.Fatalf("shards=%d concurrent=%v stopped at %d permutations, want %d", shards, concurrent, got.Used, base.Used)
 			}
 			if !reflect.DeepEqual(got.Values, base.Values) {
 				t.Fatalf("shards=%d concurrent=%v values diverge:\n%v\nvs\n%v", shards, concurrent, got.Values, base.Values)
@@ -128,8 +120,8 @@ func TestAdaptiveShardAndConcurrencyInvariant(t *testing.T) {
 func TestAdaptiveEarlyStopSavesObservationsWithinTolerance(t *testing.T) {
 	const tol = 0.2
 	p, got := runAdaptive(t, adaptiveConfig(2, tol), false)
-	if p.Used() >= p.Budget() {
-		t.Fatalf("used %d of budget %d — no early stop", p.Used(), p.Budget())
+	if got.Used >= p.Budget() {
+		t.Fatalf("used %d of budget %d — no early stop", got.Used, p.Budget())
 	}
 	stats := p.Waves()
 	if len(stats) < 2 {
@@ -154,7 +146,7 @@ func TestAdaptiveEarlyStopSavesObservationsWithinTolerance(t *testing.T) {
 	// Accuracy: the early-stopped estimates track the exhausted-budget
 	// fixed pipeline within the requested tolerance.
 	e := duplicatedEvaluator(t, 500)
-	fixed, err := MonteCarlo(e, adaptiveConfig(1, tol).MonteCarloConfig)
+	fixed, err := MonteCarloCtx(context.Background(), e, adaptiveConfig(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +164,14 @@ func TestAdaptiveEarlyStopSavesObservationsWithinTolerance(t *testing.T) {
 // rather than the fixed pipeline's single full walk.
 func TestAdaptiveTightToleranceExhaustsBudget(t *testing.T) {
 	p, got := runAdaptive(t, adaptiveConfig(2, 1e-12), false)
-	if p.Used() != p.Budget() {
-		t.Fatalf("used %d, want full budget %d", p.Used(), p.Budget())
+	if got.Used != p.Budget() {
+		t.Fatalf("used %d, want full budget %d", got.Used, p.Budget())
 	}
 	if len(p.Waves()) != 3 {
 		t.Fatalf("expected 3 waves for budget 64, got %v", p.Waves())
 	}
 	e := duplicatedEvaluator(t, 500)
-	fixed, err := MonteCarlo(e, adaptiveConfig(1, 1e-12).MonteCarloConfig)
+	fixed, err := MonteCarloCtx(context.Background(), e, adaptiveConfig(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,65 +190,34 @@ func TestAdaptiveTightToleranceExhaustsBudget(t *testing.T) {
 	}
 }
 
-// TestAdaptiveToleranceValidation pins the constructor's input contract.
+// TestAdaptiveToleranceValidation pins the constructor's input contract
+// (tolerance 0 is valid: it is the one-wave fixed budget).
 func TestAdaptiveToleranceValidation(t *testing.T) {
 	e := duplicatedEvaluator(t, 500)
-	for _, tol := range []float64{0, -0.1, math.NaN(), math.Inf(1)} {
+	for _, tol := range []float64{-0.1, math.NaN(), math.Inf(1)} {
 		cfg := adaptiveConfig(1, tol)
-		if _, err := NewAdaptivePlan(context.Background(), e, cfg); err == nil {
+		if _, err := NewMonteCarloPlan(context.Background(), e, cfg); err == nil {
 			t.Errorf("tolerance %v accepted, want error", tol)
 		}
 	}
 	cfg := adaptiveConfig(1, 0.1)
 	cfg.Samples = 0
-	if _, err := NewAdaptivePlan(context.Background(), e, cfg); err == nil {
+	if _, err := NewMonteCarloPlan(context.Background(), e, cfg); err == nil {
 		t.Error("zero sample budget accepted, want error")
 	}
 }
 
-// TestAdaptiveStageOrderErrors pins the stage contract: advancing past an
-// unobserved shard, extracting before convergence, and advancing a
-// finished plan are loud errors.
+// TestAdaptiveStageOrderErrors pins the stage contract of the
+// tolerance-driven plan: advancing past an unobserved shard, extracting
+// before convergence, and advancing a finished plan are loud errors.
 func TestAdaptiveStageOrderErrors(t *testing.T) {
 	ctx := context.Background()
-	e := duplicatedEvaluator(t, 500)
-	p, err := NewAdaptivePlan(ctx, e, adaptiveConfig(2, 0.05))
+	e := duplicatedEvaluator(t, 502)
+	p, err := NewMonteCarloPlan(ctx, e, adaptiveConfig(2, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Advance(ctx); err == nil {
-		t.Fatal("Advance before observing the wave must fail")
-	}
-	if _, err := p.Extract(ctx); err == nil {
-		t.Fatal("Extract before the plan finished must fail")
-	}
-	for i := 0; i < p.Shards(); i++ {
-		if err := p.ObserveShard(ctx, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	next := p.Shards()
-	for {
-		more, err := p.Advance(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if more == 0 {
-			break
-		}
-		for i := 0; i < more; i++ {
-			if err := p.ObserveShard(ctx, next+i); err != nil {
-				t.Fatal(err)
-			}
-		}
-		next += more
-	}
-	if _, err := p.Advance(ctx); err == nil {
-		t.Fatal("Advance after the plan finished must fail")
-	}
-	if _, err := p.Extract(ctx); err != nil {
-		t.Fatal(err)
-	}
+	checkStageOrder(t, "adaptive", p, true)
 }
 
 // TestAdaptiveCancellationMidWave pins cooperative cancellation: a context
@@ -265,7 +226,7 @@ func TestAdaptiveStageOrderErrors(t *testing.T) {
 func TestAdaptiveCancellationMidWave(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	e := duplicatedEvaluator(t, 500)
-	p, err := NewAdaptivePlan(ctx, e, adaptiveConfig(2, 1e-12))
+	p, err := NewMonteCarloPlan(ctx, e, adaptiveConfig(2, 1e-12))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,41 +26,20 @@ func GroundTruth(e utility.Source) []float64 {
 	return Exact(n, func(mask uint64) float64 { return summed[mask] })
 }
 
-// ExactResult is the outcome of the exact (non-sampled) ComFedSV pipeline.
-type ExactResult struct {
-	// Values are the ComFedSV valuations, one per client.
-	Values []float64
-	// Completion is the fitted low-rank factorization of problem (9).
-	Completion *mc.Result
-	// Store holds the observed entries {U_{t,S} : S ⊆ I_t} fed to (9).
-	Store *utility.Store
-}
-
-// ComFedSVExact runs the paper's Definition 4 pipeline without sampling:
-// observe all subsets of the selected clients per round, complete the full
-// T×(2^N−1) utility matrix (problem 9), and take the exact Shapley value of
-// the completed, per-round-summed utility. Feasible for N ≤ ~14.
-func ComFedSVExact(e utility.Source, cfg mc.Config) (*ExactResult, error) {
-	return ComFedSVExactCtx(context.Background(), e, cfg)
-}
-
-// ComFedSVExactCtx is ComFedSVExact with cooperative cancellation, checked
-// at every observation-round boundary and between pipeline steps. The
-// matrix-completion solve itself is not interruptible but is bounded by
-// cfg.MaxIter. It drives an ExactPlan's stages serially; schedulers that
+// ComFedSVExactCtx runs the paper's Definition 4 pipeline without
+// sampling: observe all subsets of the selected clients per round, complete
+// the full T×(2^N−1) utility matrix (problem 9), and take the exact Shapley
+// value of the completed, per-round-summed utility. Feasible for N ≤ ~14.
+// Cancellation is checked at every utility evaluation and between pipeline
+// steps; the matrix-completion solve itself is not interruptible but is
+// bounded by cfg.MaxIter. It drives an ExactPlan serially; schedulers that
 // want to interleave the stages with other work use the plan directly.
-func ComFedSVExactCtx(ctx context.Context, e utility.Source, cfg mc.Config) (*ExactResult, error) {
+func ComFedSVExactCtx(ctx context.Context, e utility.Source, cfg mc.Config) (*Result, error) {
 	p, err := NewExactPlan(e, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Observe(ctx); err != nil {
-		return nil, err
-	}
-	if err := p.Complete(ctx); err != nil {
-		return nil, err
-	}
-	return p.Extract(ctx)
+	return Run(ctx, p)
 }
 
 // MonteCarloConfig parameterizes Algorithm 1.
@@ -85,11 +64,17 @@ type MonteCarloConfig struct {
 	// count: cells are evaluated by a deterministic pipeline and recorded
 	// into the Store in the serial order.
 	Workers int
-	// Shards splits the observation stage into that many disjoint
+	// Shards splits every observation wave into that many disjoint
 	// permutation slices (0 means 1). MonteCarloCtx runs them serially;
 	// schedulers use MonteCarloPlan to run them concurrently. The estimate
 	// is bit-identical for every shard count.
 	Shards int
+	// Tolerance, when positive, makes Samples a budget rather than a fixed
+	// count: permutations are observed in waves, and sampling stops once
+	// the largest absolute per-client change of the estimate from the
+	// previous wave is at most Tolerance. 0 observes all Samples in one
+	// wave. Must be non-negative and finite.
+	Tolerance float64
 }
 
 // DefaultMonteCarloConfig returns M ≈ 2·N·ln(N) samples and the default
@@ -99,59 +84,20 @@ func DefaultMonteCarloConfig(n, rank int, seed int64) MonteCarloConfig {
 	return MonteCarloConfig{Samples: m, Completion: mc.DefaultConfig(rank), Seed: seed}
 }
 
-// MonteCarloResult is the outcome of Algorithm 1.
-type MonteCarloResult struct {
-	// Values are the estimated ComFedSV valuations ŝ_i (Eq. 12).
-	Values []float64
-	// Completion is the fitted factorization of the reduced problem (13).
-	Completion *mc.Result
-	// Store holds the observed entries {U_{t,π_m(i)} : π_m(i) ⊆ I_t}.
-	Store *utility.Store
-	// UnobservedColumns counts permutation-prefix columns that were never
-	// observed in any round. Under Assumption 1 (full first round) this is
-	// always 0; without it the completion silently degrades — see the
-	// Everyone-Being-Heard ablation.
-	UnobservedColumns int
-}
-
-// MonteCarlo implements Algorithm 1: sample M permutations, observe the
-// utilities of permutation prefixes contained in each round's selection,
-// solve the reduced completion problem (13), and estimate ComFedSV via the
-// permutation form (12).
-func MonteCarlo(e utility.Source, cfg MonteCarloConfig) (*MonteCarloResult, error) {
-	return MonteCarloCtx(context.Background(), e, cfg)
-}
-
-// MonteCarloCtx is MonteCarlo with cooperative cancellation, checked at
-// every observation boundary (the utility-call hot loop), between pipeline
-// steps, and per permutation during setup and estimation. The matrix-
+// MonteCarloCtx implements Algorithm 1: sample M permutations, observe
+// the utilities of permutation prefixes contained in each round's
+// selection, solve the reduced completion problem (13), and estimate
+// ComFedSV via the permutation form (12). Cancellation is checked at every
+// observation boundary (the utility-call hot loop), between pipeline
+// steps, and per permutation during setup and estimation; the matrix-
 // completion solve itself is not interruptible but is bounded by
-// cfg.Completion.MaxIter. It drives a MonteCarloPlan's stages serially —
-// observation shards one after another — so the result is byte-identical
-// to a scheduler running the same plan's shards concurrently.
-func MonteCarloCtx(ctx context.Context, e utility.Source, cfg MonteCarloConfig) (*MonteCarloResult, error) {
+// cfg.Completion.MaxIter. It drives a MonteCarloPlan serially, so the
+// result is byte-identical to a scheduler running the same plan's shards
+// concurrently.
+func MonteCarloCtx(ctx context.Context, e utility.Source, cfg MonteCarloConfig) (*Result, error) {
 	p, err := NewMonteCarloPlan(ctx, e, cfg)
 	if err != nil {
 		return nil, err
 	}
-	for shard := 0; shard < p.Shards(); shard++ {
-		if err := p.ObserveShard(ctx, shard); err != nil {
-			return nil, err
-		}
-	}
-	if err := p.Merge(ctx); err != nil {
-		return nil, err
-	}
-	if err := p.Complete(ctx); err != nil {
-		return nil, err
-	}
-	return p.Extract(ctx)
-}
-
-func toEntries(obs []utility.Observation) []mc.Entry {
-	out := make([]mc.Entry, len(obs))
-	for i, o := range obs {
-		out[i] = mc.Entry{Row: o.Row, Col: o.Col, Val: o.Val}
-	}
-	return out
+	return Run(ctx, p)
 }

@@ -1,6 +1,7 @@
 package shapley
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestGroundTruthBalance(t *testing.T) {
 
 func TestComFedSVExactRuns(t *testing.T) {
 	e := testEvaluator(t, 5, 4, 2, 53)
-	res, err := ComFedSVExact(e, mc.DefaultConfig(3))
+	res, err := ComFedSVExactCtx(context.Background(), e, mc.DefaultConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestComFedSVExactPerfectObservationMatchesGroundTruth(t *testing.T) {
 	cfg.Lambda = 1e-8
 	cfg.WeightedReg = false
 	cfg.MaxIter = 300
-	res, err := ComFedSVExact(e, cfg)
+	res, err := ComFedSVExactCtx(context.Background(), e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestComFedSVExactTooManyClients(t *testing.T) {
 	e := testEvaluator(t, 3, 2, 2, 57)
 	_ = e
 	// Construct a fake check: the guard triggers before any heavy work.
-	if _, err := ComFedSVExact(bigEvaluator(t), mc.DefaultConfig(2)); err == nil {
+	if _, err := ComFedSVExactCtx(context.Background(), bigEvaluator(t), mc.DefaultConfig(2)); err == nil {
 		t.Fatal("expected infeasibility error for large N")
 	}
 }
@@ -82,11 +83,11 @@ func bigEvaluator(t *testing.T) *utility.Evaluator {
 
 func TestMonteCarloMatchesExactOnSmallN(t *testing.T) {
 	e := testEvaluator(t, 5, 4, 2, 61)
-	exact, err := ComFedSVExact(e, mc.DefaultConfig(3))
+	exact, err := ComFedSVExactCtx(context.Background(), e, mc.DefaultConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcRes, err := MonteCarlo(e, MonteCarloConfig{
+	mcRes, err := MonteCarloCtx(context.Background(), e, MonteCarloConfig{
 		Samples:    600,
 		Completion: mc.DefaultConfig(3),
 		Seed:       62,
@@ -107,7 +108,7 @@ func TestMonteCarloMatchesExactOnSmallN(t *testing.T) {
 
 func TestMonteCarloAssumption1CoversColumns(t *testing.T) {
 	e := testEvaluator(t, 6, 4, 2, 63)
-	res, err := MonteCarlo(e, DefaultMonteCarloConfig(6, 3, 64))
+	res, err := MonteCarloCtx(context.Background(), e, DefaultMonteCarloConfig(6, 3, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestMonteCarloAssumption1CoversColumns(t *testing.T) {
 func TestMonteCarloWithoutAssumption1ReportsMissing(t *testing.T) {
 	// Without the full first round, most long prefixes are never observed.
 	full := bigEvaluatorNoFullRound(t)
-	res, err := MonteCarlo(full, DefaultMonteCarloConfig(6, 3, 66))
+	res, err := MonteCarloCtx(context.Background(), full, DefaultMonteCarloConfig(6, 3, 66))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func bigEvaluatorNoFullRound(t *testing.T) *utility.Evaluator {
 
 func TestMonteCarloBadSamples(t *testing.T) {
 	e := testEvaluator(t, 4, 2, 2, 69)
-	if _, err := MonteCarlo(e, MonteCarloConfig{Samples: 0, Completion: mc.DefaultConfig(2)}); err == nil {
+	if _, err := MonteCarloCtx(context.Background(), e, MonteCarloConfig{Samples: 0, Completion: mc.DefaultConfig(2)}); err == nil {
 		t.Fatal("expected error for zero samples")
 	}
 }
@@ -163,7 +164,7 @@ func TestMonteCarloDuplicatesFairness(t *testing.T) {
 	// The headline claim: with duplicated clients, ComFedSV values them
 	// nearly equally even under partial participation.
 	e := duplicatedEvaluator(t, 71)
-	res, err := MonteCarlo(e, DefaultMonteCarloConfig(6, 3, 72))
+	res, err := MonteCarloCtx(context.Background(), e, DefaultMonteCarloConfig(6, 3, 72))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +180,11 @@ func TestMonteCarloAntitheticMatchesPlain(t *testing.T) {
 	// Antithetic sampling changes the permutation set but estimates the
 	// same quantity; with enough samples both agree with the exact values.
 	e := testEvaluator(t, 5, 4, 2, 73)
-	exact, err := ComFedSVExact(e, mc.DefaultConfig(3))
+	exact, err := ComFedSVExactCtx(context.Background(), e, mc.DefaultConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	anti, err := MonteCarlo(e, MonteCarloConfig{
+	anti, err := MonteCarloCtx(context.Background(), e, MonteCarloConfig{
 		Samples:    600,
 		Completion: mc.DefaultConfig(3),
 		Antithetic: true,

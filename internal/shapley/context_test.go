@@ -27,7 +27,8 @@ func TestCtxVariantsCancelled(t *testing.T) {
 }
 
 // TestCtxVariantsMatchPlain checks the ctx plumbing leaves results
-// bit-identical under a never-cancelled context.
+// bit-identical under a never-cancelled context: FedSVCtx matches FedSV,
+// and the ComFedSV drivers match their plans stepped stage by stage.
 func TestCtxVariantsMatchPlain(t *testing.T) {
 	e := testEvaluator(t, 5, 4, 2, 62)
 	ctx := context.Background()
@@ -38,20 +39,37 @@ func TestCtxVariantsMatchPlain(t *testing.T) {
 		t.Fatalf("FedSVCtx diverges: %v / err %v", gotFed, err)
 	}
 
-	wantEx, err := ComFedSVExact(e, mc.DefaultConfig(3))
+	step := func(p Plan) *Result {
+		t.Helper()
+		if err := p.ObserveShard(ctx, 0); err != nil {
+			t.Fatal(err)
+		}
+		if more, err := p.Advance(ctx); err != nil || more != 0 {
+			t.Fatalf("Advance = %d, %v; want one wave", more, err)
+		}
+		res, err := p.Extract(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	ep, err := NewExactPlan(e, mc.DefaultConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantEx := step(ep)
 	gotEx, err := ComFedSVExactCtx(ctx, e, mc.DefaultConfig(3))
 	if err != nil || !reflect.DeepEqual(wantEx.Values, gotEx.Values) {
 		t.Fatalf("ComFedSVExactCtx diverges: err %v", err)
 	}
 
 	cfg := DefaultMonteCarloConfig(5, 3, 7)
-	wantMC, err := MonteCarlo(e, cfg)
+	mp, err := NewMonteCarloPlan(ctx, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantMC := step(mp)
 	gotMC, err := MonteCarloCtx(ctx, e, cfg)
 	if err != nil || !reflect.DeepEqual(wantMC.Values, gotMC.Values) {
 		t.Fatalf("MonteCarloCtx diverges: err %v", err)

@@ -43,21 +43,3 @@ func shardDigest(vals map[obsCell]float64) string {
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
-
-// ShardDigest returns the content hash of an observed shard's evaluated
-// cells, or "" if the shard has not been observed yet.
-func (p *MonteCarloPlan) ShardDigest(shard int) string {
-	if shard < 0 || shard >= len(p.shardVals) {
-		return ""
-	}
-	return shardDigest(p.shardVals[shard])
-}
-
-// ShardDigest returns the content hash of an observed shard's evaluated
-// cells, or "" if the shard has not been observed yet.
-func (p *AdaptivePlan) ShardDigest(shard int) string {
-	if shard < 0 || shard >= len(p.shardVals) {
-		return ""
-	}
-	return shardDigest(p.shardVals[shard])
-}

@@ -1,6 +1,7 @@
 package shapley
 
 import (
+	"context"
 	"runtime"
 	"testing"
 )
@@ -15,7 +16,7 @@ func TestMonteCarloDeterministicAcrossWorkers(t *testing.T) {
 	cfg := DefaultMonteCarloConfig(6, 3, 401)
 
 	cfg.Workers = 1
-	base, err := MonteCarlo(e, cfg)
+	base, err := MonteCarloCtx(context.Background(), e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestMonteCarloDeterministicAcrossWorkers(t *testing.T) {
 		cfg.Workers = workers
 		// A fresh evaluator per run: the shared cache must not be the
 		// reason results agree.
-		got, err := MonteCarlo(duplicatedEvaluator(t, 400), cfg)
+		got, err := MonteCarloCtx(context.Background(), duplicatedEvaluator(t, 400), cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -60,12 +61,12 @@ func TestMonteCarloWorkersSeedCompletion(t *testing.T) {
 	cfg := DefaultMonteCarloConfig(6, 3, 403)
 	cfg.Workers = 2
 	cfg.Completion.Workers = 1
-	one, err := MonteCarlo(e, cfg)
+	one, err := MonteCarloCtx(context.Background(), e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Completion.Workers = 0 // inherits cfg.Workers
-	two, err := MonteCarlo(e, cfg)
+	two, err := MonteCarloCtx(context.Background(), e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

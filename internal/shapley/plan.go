@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"comfedsv/internal/mat"
 	"comfedsv/internal/mc"
@@ -11,36 +12,120 @@ import (
 	"comfedsv/internal/utility"
 )
 
+// Plan is one ComFedSV pipeline split into independently schedulable
+// stages, so a job scheduler can fan the expensive observation work out
+// over a shared worker pool instead of binding one whole valuation to one
+// worker:
+//
+//	observe (ObserveShard × k)  the Shards() scheduled so far evaluate
+//	                            their utility cells through the source
+//	advance (Advance)           the checkpoint: record the observations in
+//	                            serial order, solve the completion, and
+//	                            return how many more shards to schedule —
+//	                            0 means Extract may run
+//	extract (Extract)           estimate ComFedSV from the completion
+//
+// ObserveShard calls for the shards scheduled so far are safe to run
+// concurrently; Advance runs only after every one of them returned, and it
+// and Extract are serial checkpoints. Out-of-order calls fail loudly.
+//
+// The remaining methods serve distributed and crash-safe execution:
+// ShardDigest hashes an observed shard's cells ("" if unobserved or not
+// a permutation shard) for a journal to verify a re-executed shard;
+// ShardSlice returns the permutation slice [lo, hi) a lease ships to a
+// remote worker (ok is false for unscheduled shards and the exact plan);
+// Budget is the permutation budget a worker needs to rebuild the same
+// permutations (0 for the exact plan).
+type Plan interface {
+	Shards() int
+	ObserveShard(ctx context.Context, shard int) error
+	Advance(ctx context.Context) (more int, err error)
+	Extract(ctx context.Context) (*Result, error)
+	ShardDigest(shard int) string
+	ShardSlice(shard int) (lo, hi int, ok bool)
+	Budget() int
+}
+
+// Result is the outcome of a ComFedSV pipeline.
+type Result struct {
+	// Values are the ComFedSV valuations, one per client: exact
+	// (Definition 4) or the Monte-Carlo estimates ŝ_i (Eq. 12).
+	Values []float64
+	// Completion is the fitted low-rank factorization of problem (9), or
+	// of the reduced problem (13) for Monte-Carlo plans.
+	Completion *mc.Result
+	// Store holds the observed entries fed to the completion.
+	Store *utility.Store
+	// UnobservedColumns counts permutation-prefix columns reachable from
+	// the used permutations that were never observed in any round. Under
+	// Assumption 1 (full first round) this is always 0; without it the
+	// completion silently degrades — see the Everyone-Being-Heard
+	// ablation. Always 0 for the exact pipeline.
+	UnobservedColumns int
+	// Used is the number of sampled permutations the estimate averages
+	// over: the whole budget for a fixed-budget plan, possibly fewer for a
+	// tolerance-driven one, 0 for the exact pipeline.
+	Used int
+}
+
+// Run drives a plan's stages serially — observation shards one after
+// another, wave after wave — so the result is byte-identical to a
+// scheduler running the same plan's shards concurrently.
+func Run(ctx context.Context, p Plan) (*Result, error) {
+	next, pending := 0, p.Shards()
+	for pending > 0 {
+		for i := 0; i < pending; i++ {
+			if err := p.ObserveShard(ctx, next+i); err != nil {
+				return nil, err
+			}
+		}
+		next += pending
+		var err error
+		if pending, err = p.Advance(ctx); err != nil {
+			return nil, err
+		}
+	}
+	return p.Extract(ctx)
+}
+
 // obsCell addresses one observed utility-matrix entry by round and dense
 // column index (the column was registered during plan setup, so the index
 // identifies the prefix subset without rebuilding a key).
 type obsCell struct{ round, col int }
 
-// MonteCarloPlan is Algorithm 1 split into independently schedulable
-// stages, so a job scheduler can fan the expensive observation work out
-// over a shared worker pool instead of binding one whole valuation to one
-// worker:
-//
-//	setup (NewMonteCarloPlan)   sample permutations, register prefix columns
-//	observe (ObserveShard × S)  disjoint permutation slices evaluate their
-//	                            prefix cells through the shared source
-//	merge (Merge)               record values into the store in the exact
-//	                            serial-pipeline order
-//	complete (Complete)         solve the reduced problem (13)
-//	extract (Extract)           estimate ComFedSV via the permutation form (12)
+// WaveStat describes one completed sampling wave of a Monte-Carlo plan.
+type WaveStat struct {
+	// Samples is the cumulative number of permutations merged after this
+	// wave (the wave's convergence-check point).
+	Samples int
+	// Shards is how many observation shards the wave was split into.
+	Shards int
+	// CompletionIterations is the ALS sweep count of the wave's completion
+	// solve — warm-started waves should need far fewer than the first.
+	CompletionIterations int
+	// MaxDelta is the largest absolute per-client change from the previous
+	// wave's estimate, −1 for the first wave (nothing to compare against).
+	MaxDelta float64
+}
+
+// MonteCarloPlan is Algorithm 1 as a Plan. Setup samples the whole
+// permutation budget and registers every prefix column; the budget is then
+// observed in waves. With Tolerance 0 there is one wave over all Samples.
+// With a positive Tolerance sampling converges instead of exhausting the
+// budget: every Advance re-completes the utility matrix (warm-started from
+// the previous wave's factors), re-estimates every client over the
+// permutations merged so far, and stops once no estimate moved more than
+// Tolerance since the previous wave.
 //
 // Determinism is the contract: for any shard count, any shard execution
 // order, and any concurrency between shards, the merged observation list —
-// and therefore the completion and the final values — is byte-identical to
-// the single-shard serial pipeline's. Two mechanisms make that hold: cell
-// values are deterministic memoized functions of the trace (overlapping
-// cells across shards agree, and the source's in-flight dedup pays each
-// test loss once), and Merge re-walks the full serial visit order rather
-// than concatenating shard outputs.
-//
-// ObserveShard calls for distinct shards are safe to run concurrently; the
-// other stages are serial checkpoints (Merge after every shard, Complete
-// after Merge, Extract after Complete).
+// and therefore the completion, the stopping wave and the final values —
+// is byte-identical to the single-shard serial pipeline's. Cell values are
+// deterministic memoized functions of the trace (overlapping cells across
+// shards agree, and the source's in-flight dedup pays each test loss
+// once), Advance re-walks the wave's serial visit order rather than
+// concatenating shard outputs, the wave bounds are a pure function of the
+// budget, and the convergence rule reads only the merged estimates.
 type MonteCarloPlan struct {
 	src utility.Source
 	cfg MonteCarloConfig
@@ -51,20 +136,31 @@ type MonteCarloPlan struct {
 	prefixCols [][]int
 	selected   []utility.Set // per-round selection bitsets
 	store      *utility.Store
-	nshards    int
 
-	shardVals  []map[obsCell]float64 // per-shard evaluated cells
-	merged     bool
+	bounds    []int // cumulative permutation counts per wave, last == budget
+	wave      int   // index of the wave currently being observed
+	slices    []waveSlice
+	shardVals []map[obsCell]float64 // per-shard evaluated cells
+
+	est        []float64
 	completion *mc.Result
+	stats      []WaveStat
+	used       int // permutations consumed; set once the plan finished
 }
 
-// NewMonteCarloPlan samples the permutations and registers every prefix
-// column, returning a plan whose observation stage is split into
-// cfg.Shards disjoint permutation slices (0 means 1; the count is clamped
-// to the number of permutations so every shard owns at least one).
+// waveSlice is one observation shard's permutation range within its wave.
+type waveSlice struct{ wave, lo, hi int }
+
+// NewMonteCarloPlan samples the permutations, registers every prefix
+// column, and schedules the first wave, split into cfg.Shards disjoint
+// permutation slices (0 means 1; the count is clamped to the wave's
+// permutations so every shard owns at least one).
 func NewMonteCarloPlan(ctx context.Context, e utility.Source, cfg MonteCarloConfig) (*MonteCarloPlan, error) {
 	if cfg.Samples <= 0 {
 		return nil, fmt.Errorf("shapley: non-positive Monte-Carlo sample count %d", cfg.Samples)
+	}
+	if math.IsNaN(cfg.Tolerance) || math.IsInf(cfg.Tolerance, 0) || cfg.Tolerance < 0 {
+		return nil, fmt.Errorf("shapley: tolerance must be non-negative and finite, got %v", cfg.Tolerance)
 	}
 	n := e.Run().NumClients()
 	t := len(e.Run().Rounds)
@@ -88,8 +184,8 @@ func NewMonteCarloPlan(ctx context.Context, e utility.Source, cfg MonteCarloConf
 	// Register every prefix column and remember its dense index per
 	// permutation position: prefixCols[m][j] is the column of the first
 	// j+1 elements of permutation m. Registration is the only store
-	// mutation before Merge, so concurrent shards may read column sets
-	// freely.
+	// mutation before Advance, so concurrent shards may read column sets
+	// freely, and the factor shapes are fixed across waves.
 	prefixCols := make([][]int, cfg.Samples)
 	for m, perm := range perms {
 		if err := ctx.Err(); err != nil {
@@ -109,14 +205,11 @@ func NewMonteCarloPlan(ctx context.Context, e utility.Source, cfg MonteCarloConf
 		selected[round] = utility.FromMembers(n, rd.Selected)
 	}
 
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 1
+	bounds := []int{cfg.Samples}
+	if cfg.Tolerance > 0 {
+		bounds = waveBounds(cfg.Samples)
 	}
-	if shards > cfg.Samples {
-		shards = cfg.Samples
-	}
-	return &MonteCarloPlan{
+	p := &MonteCarloPlan{
 		src:        e,
 		cfg:        cfg,
 		n:          n,
@@ -125,22 +218,100 @@ func NewMonteCarloPlan(ctx context.Context, e utility.Source, cfg MonteCarloConf
 		prefixCols: prefixCols,
 		selected:   selected,
 		store:      store,
-		nshards:    shards,
-		shardVals:  make([]map[obsCell]float64, shards),
-	}, nil
+		bounds:     bounds,
+	}
+	p.scheduleWave(0)
+	return p, nil
 }
 
-// Shards returns the number of observation shards.
-func (p *MonteCarloPlan) Shards() int { return p.nshards }
-
-// shardRange returns the half-open permutation slice [lo, hi) owned by a
-// shard: contiguous, disjoint, and covering all permutations.
-func (p *MonteCarloPlan) shardRange(shard int) (lo, hi int) {
-	if shard < 0 || shard >= p.nshards {
-		panic(fmt.Sprintf("shapley: observation shard %d out of [0,%d)", shard, p.nshards))
+// waveBounds cuts a permutation budget into the cumulative check points of
+// the tolerance-driven schedule: the first wave is budget/8 (at least 16,
+// at most the budget) and each later wave doubles the cumulative count
+// until the budget is reached. Doubling keeps the number of completion
+// solves logarithmic in the budget while the early check points stay cheap
+// enough that a fast-converging job saves most of its observations. The
+// bounds are a pure function of the budget — never of shard count, worker
+// count, or anything observed at run time — which is what lets the
+// stopping decision stay byte-identical across scheduling configurations.
+func waveBounds(budget int) []int {
+	first := budget / 8
+	if first < 16 {
+		first = 16
 	}
-	m := len(p.perms)
-	return shard * m / p.nshards, (shard + 1) * m / p.nshards
+	if first > budget {
+		first = budget
+	}
+	bounds := []int{first}
+	for last := first; last < budget; {
+		last *= 2
+		if last > budget {
+			last = budget
+		}
+		bounds = append(bounds, last)
+	}
+	return bounds
+}
+
+// waveRange returns the half-open permutation range [lo, hi) of wave w.
+func (p *MonteCarloPlan) waveRange(w int) (lo, hi int) {
+	if w > 0 {
+		lo = p.bounds[w-1]
+	}
+	return lo, p.bounds[w]
+}
+
+// scheduleWave appends wave w's shard slices (contiguous, disjoint,
+// covering the wave's permutations) and returns how many it added. The
+// requested shard count is clamped to the wave's permutation count so
+// every shard owns at least one permutation.
+func (p *MonteCarloPlan) scheduleWave(w int) int {
+	lo, hi := p.waveRange(w)
+	k := p.cfg.Shards
+	if k <= 0 {
+		k = 1
+	}
+	if k > hi-lo {
+		k = hi - lo
+	}
+	for i := 0; i < k; i++ {
+		p.slices = append(p.slices, waveSlice{
+			wave: w,
+			lo:   lo + i*(hi-lo)/k,
+			hi:   lo + (i+1)*(hi-lo)/k,
+		})
+		p.shardVals = append(p.shardVals, nil)
+	}
+	return k
+}
+
+// Shards returns the number of observation shards scheduled so far (the
+// first wave's count right after construction; Advance grows it).
+func (p *MonteCarloPlan) Shards() int { return len(p.slices) }
+
+// Waves returns the per-wave statistics recorded by Advance so far.
+func (p *MonteCarloPlan) Waves() []WaveStat { return p.stats }
+
+// Budget returns the permutation budget the plan sampled.
+func (p *MonteCarloPlan) Budget() int { return len(p.perms) }
+
+// ShardSlice returns the half-open permutation slice [lo, hi) owned by a
+// scheduled shard; every wave's slices address the one global permutation
+// set.
+func (p *MonteCarloPlan) ShardSlice(shard int) (lo, hi int, ok bool) {
+	if shard < 0 || shard >= len(p.slices) {
+		return 0, 0, false
+	}
+	sl := p.slices[shard]
+	return sl.lo, sl.hi, true
+}
+
+// ShardDigest returns the content hash of an observed shard's evaluated
+// cells, or "" if the shard has not been observed yet.
+func (p *MonteCarloPlan) ShardDigest(shard int) string {
+	if shard < 0 || shard >= len(p.shardVals) {
+		return ""
+	}
+	return shardDigest(p.shardVals[shard])
 }
 
 // walkPrefixes visits every (round, prefix-column) observation cell for
@@ -165,14 +336,18 @@ func (p *MonteCarloPlan) walkPrefixes(ctx context.Context, lo, hi int, visit fun
 	return nil
 }
 
-// ObserveShard collects the distinct prefix cells reachable from the
-// shard's permutations and evaluates them through the plan's source on a
-// bounded pool (cfg.Workers per shard). Distinct shards may run
-// concurrently — even across plans sharing one evaluator — because the
-// source memoizes and deduplicates in-flight evaluations; a cell two
-// shards both reach is paid for once.
+// ObserveShard collects the distinct prefix cells reachable from one
+// scheduled shard's permutation slice and evaluates them through the
+// plan's source on a bounded pool (cfg.Workers per shard). Distinct shards
+// may run concurrently — even across plans sharing one evaluator — because
+// the source memoizes and deduplicates in-flight evaluations; a cell two
+// shards both reach is paid for once. A shard index the plan has not
+// scheduled panics.
 func (p *MonteCarloPlan) ObserveShard(ctx context.Context, shard int) error {
-	lo, hi := p.shardRange(shard)
+	lo, hi, ok := p.ShardSlice(shard)
+	if !ok {
+		panic(fmt.Sprintf("shapley: observation shard %d out of [0,%d)", shard, len(p.slices)))
+	}
 	vals, err := p.observeRange(ctx, lo, hi)
 	if err != nil {
 		return err
@@ -184,8 +359,7 @@ func (p *MonteCarloPlan) ObserveShard(ctx context.Context, shard int) error {
 // observeRange collects the distinct prefix cells reachable from the
 // permutation slice [lo, hi) and evaluates them through the plan's
 // source, returning the evaluated-cell map without touching any shard
-// state. It backs the local observe stages of both plan kinds and the
-// worker-side ObserveSlice.
+// state. It backs both ObserveShard and the worker-side ObserveSlice.
 func (p *MonteCarloPlan) observeRange(ctx context.Context, lo, hi int) (map[obsCell]float64, error) {
 	seen := make(map[obsCell]bool)
 	var keys []obsCell
@@ -213,104 +387,116 @@ func (p *MonteCarloPlan) observeRange(ctx context.Context, lo, hi int) (map[obsC
 	return shardVals, nil
 }
 
-// Merge records the shard-evaluated cells into the store by re-walking the
-// full serial visit order, so the observation list is byte-identical to
-// the single-shard pipeline's regardless of how many shards ran or in what
-// order they finished. Every shard must have been observed first.
-func (p *MonteCarloPlan) Merge(ctx context.Context) error {
+// Advance is the wave checkpoint: it merges the current wave's shard
+// observations into the store in deterministic serial order, solves the
+// completion (warm-started from the previous wave's factors, so the
+// re-solve converges in a fraction of the sweeps), re-estimates every
+// client over all merged permutations, and applies the convergence rule.
+// It returns the number of newly scheduled observation shards — 0 means
+// the plan converged (or exhausted its budget) and Extract may run. Every
+// shard scheduled so far must have been observed first.
+func (p *MonteCarloPlan) Advance(ctx context.Context) (more int, err error) {
+	if p.used > 0 {
+		return 0, errors.New("shapley: Advance after the plan finished")
+	}
+	lo, hi := p.waveRange(p.wave)
+
+	// Merge the wave: union its shard maps (overlapping cells carry equal
+	// values — the source is a deterministic memoized function of the
+	// trace), then record the wave's *new* cells by re-walking the wave's
+	// permutation range in the serial pipeline's visit order. Cells already
+	// observed by an earlier wave are ignored by the store, so the merged
+	// observation list is identical to a serial pipeline that walked wave
+	// after wave — regardless of shard count or completion order.
 	combined := make(map[obsCell]float64)
-	for shard, vals := range p.shardVals {
-		if vals == nil {
-			return fmt.Errorf("shapley: observation shard %d/%d was not run before merge", shard, p.nshards)
+	waveShards := 0
+	for shard, sl := range p.slices {
+		if sl.wave != p.wave {
+			continue
 		}
-		// Overlapping cells across shards carry equal values (the source
-		// is a deterministic memoized function of the trace), so the
-		// union is well defined.
+		waveShards++
+		vals := p.shardVals[shard]
+		if vals == nil {
+			return 0, fmt.Errorf("shapley: observation shard %d (wave %d) was not run before Advance", shard, p.wave)
+		}
 		for k, v := range vals {
 			combined[k] = v
 		}
 	}
 	var missing error
-	err := p.walkPrefixes(ctx, 0, len(p.perms), func(round, col int) {
+	err = p.walkPrefixes(ctx, lo, hi, func(round, col int) {
 		v, ok := combined[obsCell{round: round, col: col}]
 		if !ok && missing == nil {
-			// Cannot happen while shardRange covers every permutation; a
+			// Cannot happen while the wave's slices cover its range; a
 			// loud failure beats silently observing a zero utility.
 			missing = fmt.Errorf("shapley: merge visited cell (%d,%d) no shard evaluated", round, col)
 		}
-		// Store.Observe ignores duplicates, so the first serial-order
-		// visit of each cell wins — exactly the serial pipeline's list.
 		p.store.Observe(round, p.store.ColumnSet(col), v)
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if missing != nil {
-		return missing
+		return 0, missing
 	}
-	p.merged = true
-	return nil
-}
 
-// Complete solves the reduced matrix-completion problem (13) over the
-// merged observations.
-func (p *MonteCarloPlan) Complete(ctx context.Context) error {
-	if !p.merged {
-		return errors.New("shapley: Complete before Merge")
+	// Complete over everything merged so far. The factor shapes are fixed
+	// by the full-budget column registration, so the previous wave's
+	// factors align row-for-row and warm-start the solve; a warm solve
+	// needs no restarts — its job is refinement, not basin search.
+	cc := p.cfg.Completion
+	if cc.Workers == 0 {
+		cc.Workers = p.cfg.Workers
 	}
-	if err := ctx.Err(); err != nil {
-		return err
+	if p.completion != nil {
+		cc.Warm = &mc.Warm{W: p.completion.W, H: p.completion.H}
+		cc.Restarts = 1
 	}
-	completion := p.cfg.Completion
-	if completion.Workers == 0 {
-		completion.Workers = p.cfg.Workers
-	}
-	res, err := mc.Complete(toEntries(p.store.Observations()), p.t, p.store.NumColumns(), completion)
+	res, err := mc.Complete(toEntries(p.store.Observations()), p.t, p.store.NumColumns(), cc)
 	if err != nil {
-		return fmt.Errorf("shapley: completing reduced utility matrix: %w", err)
+		return 0, fmt.Errorf("shapley: completing reduced utility matrix (wave %d): %w", p.wave, err)
 	}
-	p.completion = res
-	return nil
-}
+	est, err := p.estimate(ctx, hi, res)
+	if err != nil {
+		return 0, err
+	}
 
-// Extract estimates ComFedSV via the permutation form (12) from the
-// completed factorization.
-func (p *MonteCarloPlan) Extract(ctx context.Context) (*MonteCarloResult, error) {
-	if p.completion == nil {
-		return nil, errors.New("shapley: Extract before Complete")
-	}
-	res := p.completion
-
-	// Count never-observed columns (diagnostic for Assumption 1).
-	observed := make([]bool, p.store.NumColumns())
-	for _, o := range p.store.Observations() {
-		observed[o.Col] = true
-	}
-	missing := 0
-	for _, ok := range observed {
-		if !ok {
-			missing++
+	// The convergence rule — a pure function of the merged estimates: stop
+	// once no client's estimate moved more than the tolerance since the
+	// previous wave. The first wave has nothing to compare against and
+	// never stops early (MaxDelta −1).
+	delta := -1.0
+	converged := false
+	if p.wave > 0 {
+		delta = 0
+		for i, v := range est {
+			if d := math.Abs(v - p.est[i]); d > delta {
+				delta = d
+			}
 		}
+		converged = delta <= p.cfg.Tolerance
 	}
+	p.stats = append(p.stats, WaveStat{
+		Samples:              hi,
+		Shards:               waveShards,
+		CompletionIterations: res.Iterations,
+		MaxDelta:             delta,
+	})
+	p.completion = res
+	p.est = est
 
-	values, err := p.estimate(ctx, len(p.perms), res)
-	if err != nil {
-		return nil, err
+	if converged || p.wave == len(p.bounds)-1 {
+		p.used = hi
+		return 0, nil
 	}
-	return &MonteCarloResult{
-		Values:            values,
-		Completion:        res,
-		Store:             p.store,
-		UnobservedColumns: missing,
-	}, nil
+	p.wave++
+	return p.scheduleWave(p.wave), nil
 }
 
 // estimate computes the per-client ComFedSV estimates ŝ_i of the
 // permutation form (12) restricted to the first m sampled permutations:
 // the average over those permutations of the summed completed marginal
-// contributions. The empty prefix has utility 0. It is shared by the
-// full-budget Extract (m = all permutations) and the adaptive plan's
-// per-wave running estimates (m = permutations merged so far).
+// contributions. The empty prefix has utility 0.
 func (p *MonteCarloPlan) estimate(ctx context.Context, m int, res *mc.Result) ([]float64, error) {
 	values := make([]float64, p.n)
 	for i, perm := range p.perms[:m] {
@@ -335,10 +521,47 @@ func (p *MonteCarloPlan) estimate(ctx context.Context, m int, res *mc.Result) ([
 	return values, nil
 }
 
-// ExactPlan is the exact (non-sampled) Definition 4 pipeline split into
-// the same schedulable stages as MonteCarloPlan. The observation region
-// {U_{t,S} : S ⊆ I_t} has no permutation structure to shard, so it runs as
-// a single observe stage.
+// Extract assembles the result from the stopping wave's completion and
+// estimates. The unobserved-column diagnostic counts only columns
+// reachable from the permutations actually used — columns registered for
+// an unsampled remainder of the budget are not "missing", they were
+// deliberately skipped.
+func (p *MonteCarloPlan) Extract(ctx context.Context) (*Result, error) {
+	if p.used == 0 {
+		return nil, errors.New("shapley: Extract before the plan finished")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	observed := make([]bool, p.store.NumColumns())
+	for _, o := range p.store.Observations() {
+		observed[o.Col] = true
+	}
+	reachable := make(map[int]bool)
+	for _, cols := range p.prefixCols[:p.used] {
+		for _, c := range cols {
+			reachable[c] = true
+		}
+	}
+	missing := 0
+	for c := range reachable {
+		if !observed[c] {
+			missing++
+		}
+	}
+	return &Result{
+		Values:            p.est,
+		Completion:        p.completion,
+		Store:             p.store,
+		UnobservedColumns: missing,
+		Used:              p.used,
+	}, nil
+}
+
+// ExactPlan is the exact (non-sampled) Definition 4 pipeline as a Plan.
+// The observation region {U_{t,S} : S ⊆ I_t} has no permutation structure
+// to shard, so it is one observe shard with no permutation slice, and one
+// Advance finishes it.
 type ExactPlan struct {
 	src utility.Source
 	cfg mc.Config
@@ -355,7 +578,7 @@ type ExactPlan struct {
 func NewExactPlan(e utility.Source, cfg mc.Config) (*ExactPlan, error) {
 	n := e.Run().NumClients()
 	if n > 14 {
-		return nil, fmt.Errorf("shapley: exact ComFedSV over 2^%d columns is infeasible; use MonteCarlo", n)
+		return nil, fmt.Errorf("shapley: exact ComFedSV over 2^%d columns is infeasible; use MonteCarloCtx", n)
 	}
 	t := len(e.Run().Rounds)
 	store := utility.NewStore(t, n)
@@ -365,8 +588,21 @@ func NewExactPlan(e utility.Source, cfg mc.Config) (*ExactPlan, error) {
 	return &ExactPlan{src: e, cfg: cfg, n: n, t: t, store: store}, nil
 }
 
-// Observe records the utilities of every subset of each round's selection.
-func (p *ExactPlan) Observe(ctx context.Context) error {
+// Shards returns 1: the whole observation region is one shard.
+func (p *ExactPlan) Shards() int { return 1 }
+
+// Budget returns 0: the exact pipeline samples no permutations.
+func (p *ExactPlan) Budget() int { return 0 }
+
+// ShardSlice reports ok=false: the exact shard has no permutation slice.
+func (p *ExactPlan) ShardSlice(int) (lo, hi int, ok bool) { return 0, 0, false }
+
+// ShardDigest returns "": the exact shard is not journaled by digest.
+func (p *ExactPlan) ShardDigest(int) string { return "" }
+
+// ObserveShard records the utilities of every subset of each round's
+// selection.
+func (p *ExactPlan) ObserveShard(ctx context.Context, _ int) error {
 	if err := utility.ObserveSelectedCtx(ctx, p.src, p.store); err != nil {
 		return err
 	}
@@ -374,27 +610,31 @@ func (p *ExactPlan) Observe(ctx context.Context) error {
 	return nil
 }
 
-// Complete solves the full completion problem (9) over the observations.
-func (p *ExactPlan) Complete(ctx context.Context) error {
+// Advance solves the full completion problem (9) over the observations
+// and always returns 0.
+func (p *ExactPlan) Advance(ctx context.Context) (int, error) {
+	if p.completion != nil {
+		return 0, errors.New("shapley: Advance after the plan finished")
+	}
 	if !p.observed {
-		return errors.New("shapley: Complete before Observe")
+		return 0, errors.New("shapley: Advance before the observation shard ran")
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return 0, err
 	}
 	res, err := mc.Complete(toEntries(p.store.Observations()), p.t, p.store.NumColumns(), p.cfg)
 	if err != nil {
-		return fmt.Errorf("shapley: completing utility matrix: %w", err)
+		return 0, fmt.Errorf("shapley: completing utility matrix: %w", err)
 	}
 	p.completion = res
-	return nil
+	return 0, nil
 }
 
 // Extract takes the exact Shapley value of the completed, per-round-summed
 // utility.
-func (p *ExactPlan) Extract(ctx context.Context) (*ExactResult, error) {
+func (p *ExactPlan) Extract(ctx context.Context) (*Result, error) {
 	if p.completion == nil {
-		return nil, errors.New("shapley: Extract before Complete")
+		return nil, errors.New("shapley: Extract before the plan finished")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -411,5 +651,13 @@ func (p *ExactPlan) Extract(ctx context.Context) (*ExactResult, error) {
 		summed[mask] = s
 	}
 	values := Exact(p.n, func(mask uint64) float64 { return summed[mask] })
-	return &ExactResult{Values: values, Completion: res, Store: p.store}, nil
+	return &Result{Values: values, Completion: res, Store: p.store}, nil
+}
+
+func toEntries(obs []utility.Observation) []mc.Entry {
+	out := make([]mc.Entry, len(obs))
+	for i, o := range obs {
+		out[i] = mc.Entry{Row: o.Row, Col: o.Col, Val: o.Val}
+	}
+	return out
 }

@@ -22,12 +22,12 @@ func planConfig(shards int) MonteCarloConfig {
 // and the final values are identical for shard counts 1, 2, and 8.
 func TestMonteCarloShardCountInvariant(t *testing.T) {
 	e := duplicatedEvaluator(t, 500)
-	base, err := MonteCarlo(e, planConfig(1))
+	base, err := MonteCarloCtx(context.Background(), e, planConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{2, 8} {
-		got, err := MonteCarlo(e, planConfig(shards))
+		got, err := MonteCarloCtx(context.Background(), e, planConfig(shards))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -44,11 +44,11 @@ func TestMonteCarloShardCountInvariant(t *testing.T) {
 }
 
 // TestMonteCarloPlanShardOrderInvariant runs the shards of one plan in
-// reverse and concurrently: Merge must still record the serial order, so
+// reverse and concurrently: Advance must still record the serial order, so
 // the result matches the plain pipeline byte for byte.
 func TestMonteCarloPlanShardOrderInvariant(t *testing.T) {
 	e := duplicatedEvaluator(t, 501)
-	want, err := MonteCarlo(e, planConfig(1))
+	want, err := MonteCarloCtx(context.Background(), e, planConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,8 @@ func TestMonteCarloPlanShardOrderInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := p.Merge(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Complete(ctx); err != nil {
-		t.Fatal(err)
+	if more, err := p.Advance(ctx); err != nil || more != 0 {
+		t.Fatalf("Advance = %d, %v; want one wave", more, err)
 	}
 	got, err := p.Extract(ctx)
 	if err != nil {
@@ -102,11 +99,8 @@ func TestMonteCarloPlanShardOrderInvariant(t *testing.T) {
 			t.Fatalf("shard %d: %v", shard, err)
 		}
 	}
-	if err := p2.Merge(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.Complete(ctx); err != nil {
-		t.Fatal(err)
+	if more, err := p2.Advance(ctx); err != nil || more != 0 {
+		t.Fatalf("Advance = %d, %v; want one wave", more, err)
 	}
 	got2, err := p2.Extract(ctx)
 	if err != nil {
@@ -120,40 +114,67 @@ func TestMonteCarloPlanShardOrderInvariant(t *testing.T) {
 	}
 }
 
-// TestMonteCarloPlanStageOrderErrors pins the plan's stage contract:
-// skipping a stage is a loud error, not silent corruption.
+// TestMonteCarloPlanStageOrderErrors pins the stage contract of the
+// fixed-budget and exact plans: skipping a stage is a loud error, not
+// silent corruption, and only Monte-Carlo shards own a permutation slice.
 func TestMonteCarloPlanStageOrderErrors(t *testing.T) {
-	e := duplicatedEvaluator(t, 502)
 	ctx := context.Background()
+	e := duplicatedEvaluator(t, 502)
 	p, err := NewMonteCarloPlan(ctx, e, planConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Merge(ctx); err == nil {
-		t.Fatal("Merge before observing every shard must fail")
-	}
-	if err := p.Complete(ctx); err == nil {
-		t.Fatal("Complete before Merge must fail")
-	}
-	if _, err := p.Extract(ctx); err == nil {
-		t.Fatal("Extract before Complete must fail")
-	}
-	if err := p.ObserveShard(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Merge(ctx); err == nil {
-		t.Fatal("Merge with an unobserved shard must fail")
-	}
-
+	checkStageOrder(t, "fixed", p, true)
 	ep, err := NewExactPlan(e, mc.DefaultConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ep.Complete(ctx); err == nil {
-		t.Fatal("exact Complete before Observe must fail")
+	checkStageOrder(t, "exact", ep, false)
+}
+
+// checkStageOrder drives a fresh plan through its whole life, checking that
+// every stage taken out of order fails: Advance before or with unobserved
+// shards, Extract before the plan finished, and Advance after it. slice is
+// whether the plan's shards own a permutation slice.
+func checkStageOrder(t *testing.T, name string, p Plan, slice bool) {
+	t.Helper()
+	ctx := context.Background()
+	if _, err := p.Advance(ctx); err == nil {
+		t.Fatalf("%s: Advance before observing the shards must fail", name)
 	}
-	if _, err := ep.Extract(ctx); err == nil {
-		t.Fatal("exact Extract before Complete must fail")
+	if _, err := p.Extract(ctx); err == nil {
+		t.Fatalf("%s: Extract before the plan finished must fail", name)
+	}
+	if _, _, ok := p.ShardSlice(0); ok != slice {
+		t.Fatalf("%s: ShardSlice(0) ok = %v, want %v", name, ok, slice)
+	}
+	if err := p.ObserveShard(ctx, 0); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if p.Shards() > 1 {
+		if _, err := p.Advance(ctx); err == nil {
+			t.Fatalf("%s: Advance with an unobserved shard must fail", name)
+		}
+	}
+	for next := 1; ; {
+		for ; next < p.Shards(); next++ {
+			if err := p.ObserveShard(ctx, next); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		more, err := p.Advance(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if more == 0 {
+			break
+		}
+	}
+	if _, err := p.Advance(ctx); err == nil {
+		t.Fatalf("%s: Advance after the plan finished must fail", name)
+	}
+	if _, err := p.Extract(ctx); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
 }
 
@@ -179,11 +200,11 @@ func TestMonteCarloShardClamp(t *testing.T) {
 	if p.Shards() != 3 {
 		t.Fatalf("Shards() = %d for 64 shards over 3 permutations, want 3", p.Shards())
 	}
-	want, err := MonteCarlo(e, MonteCarloConfig{Samples: 3, Completion: mc.DefaultConfig(3), Seed: 51})
+	want, err := MonteCarloCtx(context.Background(), e, MonteCarloConfig{Samples: 3, Completion: mc.DefaultConfig(3), Seed: 51})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MonteCarlo(e, cfg)
+	got, err := MonteCarloCtx(context.Background(), e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

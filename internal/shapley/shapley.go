@@ -3,6 +3,13 @@
 // (Definition 2), the paper's completed federated Shapley value ComFedSV
 // (Definition 4) with its Monte-Carlo estimator (Algorithm 1), and the
 // Observation-1 unfairness probability (Fig. 1).
+//
+// Both ComFedSV pipelines are staged behind one Plan interface — observe
+// shards, Advance checkpoints, Extract — which schedulers drive
+// concurrently and Run drives serially. MonteCarloPlan is Algorithm 1: a
+// fixed budget is one observation wave, a positive tolerance adds waves
+// until the estimates settle. ExactPlan is Definition 4: one shard, no
+// permutation slice.
 package shapley
 
 import (
@@ -66,46 +73,6 @@ func Exact(n int, u func(mask uint64) float64) []float64 {
 			}
 		}
 		values[i] = total
-	}
-	return values
-}
-
-// ExactOnPermutations computes the Shapley value of the same utility by
-// averaging marginal contributions over all n! permutations. It is an
-// O(n!·n) reference implementation used to cross-validate Exact in tests;
-// practical only for n ≤ 8.
-func ExactOnPermutations(n int, u func(mask uint64) float64) []float64 {
-	if n <= 0 || n > 8 {
-		panic(fmt.Sprintf("shapley: permutation enumeration supports 1..8 players, got %d", n))
-	}
-	values := make([]float64, n)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	count := 0
-	var visit func(k int)
-	visit = func(k int) {
-		if k == n {
-			count++
-			var mask uint64
-			for _, p := range perm {
-				bit := uint64(1) << uint(p)
-				values[p] += u(mask|bit) - u(mask)
-				mask |= bit
-			}
-			return
-		}
-		for i := k; i < n; i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			visit(k + 1)
-			perm[k], perm[i] = perm[i], perm[k]
-		}
-	}
-	visit(0)
-	inv := 1 / float64(count)
-	for i := range values {
-		values[i] *= inv
 	}
 	return values
 }

@@ -7,25 +7,6 @@ import (
 	"comfedsv/internal/utility"
 )
 
-// Budget returns the permutation budget the plan sampled — what a remote
-// worker must pass to its own plan so permutation sampling matches.
-func (p *MonteCarloPlan) Budget() int { return len(p.perms) }
-
-// ShardSlice returns the half-open permutation slice [lo, hi) owned by a
-// planned shard — the coordinates a lease ships to a remote worker.
-func (p *MonteCarloPlan) ShardSlice(shard int) (lo, hi int) { return p.shardRange(shard) }
-
-// ShardSlice returns the half-open permutation slice [lo, hi) owned by a
-// scheduled shard (the adaptive plan's slices address the same global
-// permutation set as the fixed plan's).
-func (p *AdaptivePlan) ShardSlice(shard int) (lo, hi int) {
-	if shard < 0 || shard >= len(p.slices) {
-		panic(fmt.Sprintf("shapley: adaptive observation shard %d out of [0,%d)", shard, len(p.slices)))
-	}
-	sl := p.slices[shard]
-	return sl.lo, sl.hi
-}
-
 // ObserveSlice evaluates the prefix cells of an arbitrary permutation
 // slice [lo, hi) through the plan's source, without mutating the plan's
 // shard state — the worker-side entry point of distributed observation.

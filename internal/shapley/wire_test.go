@@ -33,7 +33,7 @@ func TestObserveSliceShipsWholeSlice(t *testing.T) {
 	coord := duplicatedEvaluator(t, 502)
 	sess := coord.NewSession()
 	for shard := 0; shard < worker.Shards(); shard++ {
-		lo, hi := worker.ShardSlice(shard)
+		lo, hi, _ := worker.ShardSlice(shard)
 		b, err := worker.ObserveSlice(ctx, lo, hi)
 		if err != nil {
 			t.Fatal(err)

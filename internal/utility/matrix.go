@@ -297,14 +297,55 @@ func (e *Evaluator) utility(t int, s Set, ck cellKey) (float64, bool) {
 // input order. workers ≤ 0 means GOMAXPROCS; the pool never exceeds the
 // number of cells. Duplicate and already-cached cells cost one cache hit;
 // concurrent first requests for the same cell are deduplicated by the
-// in-flight table. Cancellation is checked before each evaluation.
+// in-flight table. Cancellation is checked before each evaluation. A
+// non-finite utility stops the batch with a *NonFiniteError.
 func (e *Evaluator) UtilityBatchCtx(ctx context.Context, cells []Cell, workers int) ([]float64, error) {
+	return utilityBatch(ctx, cells, workers, e.Utility)
+}
+
+// NonFiniteError reports a utility that evaluated to NaN or ±Inf — the
+// signature of a diverged training run. It is fatal: the matrix completion
+// cannot fit such a cell, and every later observation would be paid for in
+// vain.
+type NonFiniteError struct {
+	Round     int
+	Coalition Set
+	Value     float64
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("utility: non-finite utility %v at round %d, coalition %v", e.Value, e.Round, e.Coalition)
+}
+
+// checkFinite returns a *NonFiniteError for a NaN or ±Inf utility.
+func checkFinite(t int, s Set, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return &NonFiniteError{Round: t, Coalition: s, Value: v}
+	}
+	return nil
+}
+
+// utilityBatch evaluates cells through u on a bounded pool (see
+// forEachIndex), stopping early at a non-finite utility. The error names
+// the first non-finite cell in input order among those evaluated, so a
+// serial batch always names the first one.
+func utilityBatch(ctx context.Context, cells []Cell, workers int, u func(int, Set) float64) ([]float64, error) {
 	out := make([]float64, len(cells))
-	forEachIndex(ctx, len(cells), workers, func(i int) {
-		out[i] = e.Utility(cells[i].Round, cells[i].Subset)
+	stop, cancel := context.WithCancel(ctx)
+	defer cancel()
+	forEachIndex(stop, len(cells), workers, func(i int) {
+		out[i] = u(cells[i].Round, cells[i].Subset)
+		if checkFinite(cells[i].Round, cells[i].Subset, out[i]) != nil {
+			cancel()
+		}
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	for i, c := range cells {
+		if err := checkFinite(c.Round, c.Subset, out[i]); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -420,8 +461,8 @@ func FullMatrix(e Source) *mat.Dense {
 func ObserveSelected(e Source, st *Store) {
 	if err := ObserveSelectedCtx(context.Background(), e, st); err != nil {
 		// The background context never cancels, so this is the
-		// infeasible-selection error — panic to preserve the historical
-		// ObserveSelected contract.
+		// infeasible-selection or non-finite-utility error — panic to
+		// preserve the historical ObserveSelected contract.
 		panic(err)
 	}
 }
@@ -429,7 +470,8 @@ func ObserveSelected(e Source, st *Store) {
 // ObserveSelectedCtx is ObserveSelected with cooperative cancellation,
 // checked before every utility evaluation (a single round costs up to
 // 2^|I_t| of them). Unlike ObserveSelected it returns an error instead of
-// panicking for infeasible selection sizes.
+// panicking for infeasible selection sizes, and a *NonFiniteError at the
+// first NaN or ±Inf utility.
 func ObserveSelectedCtx(ctx context.Context, e Source, st *Store) error {
 	for t, rd := range e.Run().Rounds {
 		sel := rd.Selected
@@ -447,7 +489,11 @@ func ObserveSelectedCtx(ctx context.Context, e Source, st *Store) error {
 					s.Add(sel[b])
 				}
 			}
-			st.Observe(t, s, e.Utility(t, s))
+			v := e.Utility(t, s)
+			if err := checkFinite(t, s, v); err != nil {
+				return err
+			}
+			st.Observe(t, s, v)
 		}
 	}
 	return nil

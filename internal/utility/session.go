@@ -148,12 +148,5 @@ func (s *Session) Absorb(b *CellBatch) error {
 // shared cache, with this session's accounting. Semantics match
 // Evaluator.UtilityBatchCtx.
 func (s *Session) UtilityBatchCtx(ctx context.Context, cells []Cell, workers int) ([]float64, error) {
-	out := make([]float64, len(cells))
-	forEachIndex(ctx, len(cells), workers, func(i int) {
-		out[i] = s.Utility(cells[i].Round, cells[i].Subset)
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return utilityBatch(ctx, cells, workers, s.Utility)
 }

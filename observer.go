@@ -2,7 +2,6 @@ package comfedsv
 
 import (
 	"context"
-	"fmt"
 
 	"comfedsv/internal/shapley"
 )
@@ -22,9 +21,6 @@ import (
 // replays the shard locally against it. Distinct slices are safe to
 // evaluate concurrently.
 func ObserveSlice(ctx context.Context, tr *TrainedRun, budget int, seed int64, parallelism, lo, hi int) (*CellBatch, error) {
-	if budget <= 0 {
-		return nil, fmt.Errorf("comfedsv: observing a slice requires a positive permutation budget, got %d", budget)
-	}
 	plan, err := shapley.NewMonteCarloPlan(ctx, tr.eval, shapley.MonteCarloConfig{
 		Samples: budget,
 		Seed:    seed + 1,

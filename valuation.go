@@ -20,10 +20,10 @@ import (
 //	Prepare        final-model metrics, FedSV, observation-plan setup
 //	ObserveShard×S disjoint Monte-Carlo permutation slices evaluate their
 //	               prefix cells (safe to run concurrently)
-//	Complete       deterministic serial-order merge into the utility
-//	               matrix, then the ALS completion solve; in adaptive
-//	               (tolerance-driven) mode it is the wave checkpoint and
-//	               may return additional observation shards to schedule
+//	Complete       the plan's Advance checkpoint: deterministic
+//	               serial-order merge into the utility matrix, then the
+//	               ALS completion solve; in adaptive (tolerance-driven)
+//	               mode it may return another wave's shards to schedule
 //	Extract        Shapley extraction and report assembly
 //
 // Run drives the stages serially; Value/ValueCtx and ValueRun/ValueRunCtx
@@ -44,10 +44,7 @@ type Valuation struct {
 	opts    Options
 
 	report   *Report
-	mcPlan   *shapley.MonteCarloPlan
-	adaptive *shapley.AdaptivePlan
-	exact    *shapley.ExactPlan
-	shards   int
+	plan     shapley.Plan
 	observed atomic.Int64
 }
 
@@ -74,44 +71,44 @@ func (v *Valuation) emitTime(stage string, shard int, start time.Time) {
 	}
 }
 
-// valuationBudget resolves the Monte-Carlo permutation budget and the
-// valuation mode from the options: fixed budget (MonteCarloSamples, no
-// tolerance), adaptive (Tolerance plus a budget via MonteCarloSamples or
-// MaxPermutations), or exact (neither). Contradictory combinations fail
+// valuationBudget resolves the Monte-Carlo permutation budget from the
+// options: MonteCarloSamples for a fixed budget, MonteCarloSamples or
+// MaxPermutations alongside a Tolerance for an adaptive one, and 0 (the
+// exact pipeline) when neither is set. Contradictory combinations fail
 // loudly here, before any training-trace work is spent.
-func valuationBudget(opts Options) (budget int, adaptive bool, err error) {
+func valuationBudget(opts Options) (budget int, err error) {
 	if opts.MaxPermutations < 0 {
-		return 0, false, fmt.Errorf("comfedsv: negative MaxPermutations %d", opts.MaxPermutations)
+		return 0, fmt.Errorf("comfedsv: negative MaxPermutations %d", opts.MaxPermutations)
 	}
 	if opts.Tolerance != 0 && (math.IsNaN(opts.Tolerance) || math.IsInf(opts.Tolerance, 0) || opts.Tolerance < 0) {
-		return 0, false, fmt.Errorf("comfedsv: tolerance must be positive and finite, got %v", opts.Tolerance)
+		return 0, fmt.Errorf("comfedsv: tolerance must be positive and finite, got %v", opts.Tolerance)
 	}
 	if opts.Tolerance == 0 {
 		if opts.MaxPermutations > 0 {
-			return 0, false, errors.New("comfedsv: MaxPermutations requires Tolerance; fixed-budget runs use MonteCarloSamples")
+			return 0, errors.New("comfedsv: MaxPermutations requires Tolerance; fixed-budget runs use MonteCarloSamples")
 		}
-		return opts.MonteCarloSamples, false, nil
+		return opts.MonteCarloSamples, nil
 	}
 	budget = opts.MonteCarloSamples
 	if opts.MaxPermutations > 0 {
 		if budget > 0 && budget != opts.MaxPermutations {
-			return 0, false, fmt.Errorf("comfedsv: MonteCarloSamples (%d) and MaxPermutations (%d) disagree", budget, opts.MaxPermutations)
+			return 0, fmt.Errorf("comfedsv: MonteCarloSamples (%d) and MaxPermutations (%d) disagree", budget, opts.MaxPermutations)
 		}
 		budget = opts.MaxPermutations
 	}
 	if budget <= 0 {
-		return 0, false, errors.New("comfedsv: Tolerance requires a positive permutation budget (MonteCarloSamples or MaxPermutations)")
+		return 0, errors.New("comfedsv: Tolerance requires a positive permutation budget (MonteCarloSamples or MaxPermutations)")
 	}
-	return budget, true, nil
+	return budget, nil
 }
 
 // Prepare computes the final-model metrics and the FedSV baseline, then
-// builds the ComFedSV observation plan. It returns the number of
-// observation shards to schedule (always 1 for the exact pipeline — its
-// observation region has no permutation structure to shard; the first
-// wave's count for an adaptive plan, whose Complete may schedule more).
+// builds the ComFedSV plan: a Monte-Carlo plan when there is a permutation
+// budget, the exact plan otherwise. It returns the number of observation
+// shards to schedule (always 1 for the exact pipeline; the first wave's
+// count for an adaptive plan, whose Complete may schedule more).
 func (v *Valuation) Prepare(ctx context.Context) (int, error) {
-	budget, adaptive, err := valuationBudget(v.opts)
+	budget, err := valuationBudget(v.opts)
 	if err != nil {
 		return 0, err
 	}
@@ -131,46 +128,23 @@ func (v *Valuation) Prepare(ctx context.Context) (int, error) {
 
 	mcCfg := mc.DefaultConfig(v.opts.Rank)
 	mcCfg.Workers = v.opts.Parallelism
-	switch {
-	case adaptive:
-		plan, err := shapley.NewAdaptivePlan(ctx, v.session, shapley.AdaptiveConfig{
-			MonteCarloConfig: shapley.MonteCarloConfig{
-				Samples:    budget,
-				Completion: mcCfg,
-				Seed:       v.opts.Seed + 1,
-				Workers:    v.opts.Parallelism,
-				Shards:     v.opts.Shards,
-			},
-			Tolerance: v.opts.Tolerance,
-		})
-		if err != nil {
-			return 0, stageErr(ctx, "valuation", err)
-		}
-		v.adaptive = plan
-		v.shards = plan.Shards()
-	case budget > 0:
-		plan, err := shapley.NewMonteCarloPlan(ctx, v.session, shapley.MonteCarloConfig{
+	if budget > 0 {
+		v.plan, err = shapley.NewMonteCarloPlan(ctx, v.session, shapley.MonteCarloConfig{
 			Samples:    budget,
 			Completion: mcCfg,
 			Seed:       v.opts.Seed + 1,
 			Workers:    v.opts.Parallelism,
 			Shards:     v.opts.Shards,
+			Tolerance:  v.opts.Tolerance,
 		})
-		if err != nil {
-			return 0, stageErr(ctx, "valuation", err)
-		}
-		v.mcPlan = plan
-		v.shards = plan.Shards()
-	default:
-		plan, err := shapley.NewExactPlan(v.session, mcCfg)
-		if err != nil {
-			return 0, stageErr(ctx, "valuation", err)
-		}
-		v.exact = plan
-		v.shards = 1
+	} else {
+		v.plan, err = shapley.NewExactPlan(v.session, mcCfg)
 	}
-	v.emit(Progress{Stage: StageObserve, Done: 0, Total: v.shards})
-	return v.shards, nil
+	if err != nil {
+		return 0, stageErr(ctx, "valuation", err)
+	}
+	v.emit(Progress{Stage: StageObserve, Done: 0, Total: v.plan.Shards()})
+	return v.plan.Shards(), nil
 }
 
 // fedSV computes the FedSV baseline: exact per-round enumeration (Wang et
@@ -196,28 +170,16 @@ func (v *Valuation) fedSV(ctx context.Context) ([]float64, error) {
 	return shapley.FedSVMonteCarloCtx(ctx, v.session, samples, v.opts.Seed+2)
 }
 
-// Shards returns the observation shard count decided by Prepare.
-func (v *Valuation) Shards() int { return v.shards }
-
 // ObserveShard evaluates one observation shard's utility cells through the
 // session. Distinct shards are safe to run concurrently; each uses up to
 // Options.Parallelism goroutines of its own.
 func (v *Valuation) ObserveShard(ctx context.Context, shard int) error {
 	start := time.Now()
-	var err error
-	switch {
-	case v.adaptive != nil:
-		err = v.adaptive.ObserveShard(ctx, shard)
-	case v.mcPlan != nil:
-		err = v.mcPlan.ObserveShard(ctx, shard)
-	default:
-		err = v.exact.Observe(ctx)
-	}
-	if err != nil {
+	if err := v.plan.ObserveShard(ctx, shard); err != nil {
 		return stageErr(ctx, "valuation", err)
 	}
 	v.emitTime(StageObserve, shard, start)
-	v.emit(Progress{Stage: StageObserve, Done: int(v.observed.Add(1)), Total: v.shards})
+	v.emit(Progress{Stage: StageObserve, Done: int(v.observed.Add(1)), Total: v.plan.Shards()})
 	return nil
 }
 
@@ -226,55 +188,18 @@ func (v *Valuation) ObserveShard(ctx context.Context, shard int) error {
 // recovery can resume without retraining.
 func (v *Valuation) TrainedRun() *TrainedRun { return v.tr }
 
-// ShardDigest returns the content hash of an observed shard's evaluated
-// cells — the token the comfedsvd journal records so crash recovery can
-// verify a re-executed shard re-derived identical observations. Exact
-// pipelines (no permutation structure to shard) and unobserved shards
-// return "".
-func (v *Valuation) ShardDigest(shard int) string {
-	switch {
-	case v.adaptive != nil:
-		return v.adaptive.ShardDigest(shard)
-	case v.mcPlan != nil:
-		return v.mcPlan.ShardDigest(shard)
-	default:
-		return ""
-	}
-}
+// ShardDigest returns the plan's content hash of an observed shard — the
+// token the comfedsvd journal records so crash recovery can verify a
+// re-executed shard re-derived identical observations.
+func (v *Valuation) ShardDigest(shard int) string { return v.plan.ShardDigest(shard) }
 
-// ObservationBudget returns the job's resolved permutation budget — the
-// budget a worker passes to ObserveSlice so its plan matches this
-// valuation's. Exact pipelines (no permutation
-// structure) return 0; call it after Prepare.
-func (v *Valuation) ObservationBudget() int {
-	switch {
-	case v.adaptive != nil:
-		return v.adaptive.Budget()
-	case v.mcPlan != nil:
-		return v.mcPlan.Budget()
-	default:
-		return 0
-	}
-}
+// ObservationBudget returns the plan's permutation budget (0 for exact) —
+// what a worker passes to ObserveSlice; call it after Prepare.
+func (v *Valuation) ObservationBudget() int { return v.plan.Budget() }
 
-// ShardSlice returns the half-open permutation slice [lo, hi) owned by a
-// scheduled observation shard — the coordinates a lease ships to a remote
-// worker. ok is false for exact pipelines and shards the plan has not
-// scheduled (adaptive waves schedule shards as they advance).
-func (v *Valuation) ShardSlice(shard int) (lo, hi int, ok bool) {
-	if shard < 0 || shard >= v.shards {
-		return 0, 0, false
-	}
-	switch {
-	case v.adaptive != nil:
-		lo, hi = v.adaptive.ShardSlice(shard)
-	case v.mcPlan != nil:
-		lo, hi = v.mcPlan.ShardSlice(shard)
-	default:
-		return 0, 0, false
-	}
-	return lo, hi, true
-}
+// ShardSlice returns the plan's permutation slice of a scheduled shard —
+// the coordinates a lease ships to a remote worker.
+func (v *Valuation) ShardSlice(shard int) (lo, hi int, ok bool) { return v.plan.ShardSlice(shard) }
 
 // AbsorbCells installs a remote worker's cell batch into this valuation's
 // own session, so the local replay of the leased shard (ObserveShard)
@@ -286,41 +211,23 @@ func (v *Valuation) AbsorbCells(b *CellBatch) error {
 	return v.session.Absorb(b)
 }
 
-// Complete merges the shard observations in deterministic serial order and
-// solves the matrix-completion problem. In adaptive mode it is the wave
-// checkpoint: it returns the number of additional observation shards the
-// caller must schedule before calling Complete again (their indices
-// continue where the previous wave's left off), or 0 when the estimates
-// converged and Extract may run. Fixed-budget and exact pipelines always
-// return 0 — one Complete finishes them.
+// Complete is the plan's Advance checkpoint: it merges the shard
+// observations in deterministic serial order and solves the
+// matrix-completion problem. It returns the number of additional
+// observation shards the caller must schedule before calling Complete
+// again (their indices continue where the previous wave's left off), or 0
+// when Extract may run — always 0 for fixed-budget and exact pipelines.
 func (v *Valuation) Complete(ctx context.Context) (int, error) {
 	v.emit(Progress{Stage: StageComplete, Done: 0, Total: 1})
 	start := time.Now()
-	more := 0
-	switch {
-	case v.adaptive != nil:
-		m, err := v.adaptive.Advance(ctx)
-		if err != nil {
-			return 0, stageErr(ctx, "valuation", err)
-		}
-		more = m
-	case v.mcPlan != nil:
-		if err := v.mcPlan.Merge(ctx); err != nil {
-			return 0, stageErr(ctx, "valuation", err)
-		}
-		if err := v.mcPlan.Complete(ctx); err != nil {
-			return 0, stageErr(ctx, "valuation", err)
-		}
-	default:
-		if err := v.exact.Complete(ctx); err != nil {
-			return 0, stageErr(ctx, "valuation", err)
-		}
+	more, err := v.plan.Advance(ctx)
+	if err != nil {
+		return 0, stageErr(ctx, "valuation", err)
 	}
 	v.emitTime(StageComplete, -1, start)
 	v.emit(Progress{Stage: StageComplete, Done: 1, Total: 1})
 	if more > 0 {
-		v.shards += more
-		v.emit(Progress{Stage: StageObserve, Done: int(v.observed.Load()), Total: v.shards})
+		v.emit(Progress{Stage: StageObserve, Done: int(v.observed.Load()), Total: v.plan.Shards()})
 	}
 	return more, nil
 }
@@ -330,32 +237,16 @@ func (v *Valuation) Complete(ctx context.Context) (int, error) {
 func (v *Valuation) Extract(ctx context.Context) (*Report, error) {
 	v.emit(Progress{Stage: StageShapley, Done: 0, Total: 1})
 	start := time.Now()
-	if v.adaptive != nil {
-		res, err := v.adaptive.Extract(ctx)
-		if err != nil {
-			return nil, stageErr(ctx, "valuation", err)
-		}
-		v.report.ComFedSV = res.Values
-		v.report.ObservedDensity = res.Store.Density()
-		v.report.CompletionRMSE = res.Completion.TrainRMSE
-		v.report.ObservationsUsed = v.adaptive.Used()
-		v.report.ObservationsBudget = v.adaptive.Budget()
-	} else if v.mcPlan != nil {
-		res, err := v.mcPlan.Extract(ctx)
-		if err != nil {
-			return nil, stageErr(ctx, "valuation", err)
-		}
-		v.report.ComFedSV = res.Values
-		v.report.ObservedDensity = res.Store.Density()
-		v.report.CompletionRMSE = res.Completion.TrainRMSE
-	} else {
-		res, err := v.exact.Extract(ctx)
-		if err != nil {
-			return nil, stageErr(ctx, "valuation", err)
-		}
-		v.report.ComFedSV = res.Values
-		v.report.ObservedDensity = res.Store.Density()
-		v.report.CompletionRMSE = res.Completion.TrainRMSE
+	res, err := v.plan.Extract(ctx)
+	if err != nil {
+		return nil, stageErr(ctx, "valuation", err)
+	}
+	v.report.ComFedSV = res.Values
+	v.report.ObservedDensity = res.Store.Density()
+	v.report.CompletionRMSE = res.Completion.TrainRMSE
+	if v.opts.Tolerance > 0 {
+		v.report.ObservationsUsed = res.Used
+		v.report.ObservationsBudget = v.plan.Budget()
 	}
 	// The session counts the distinct cells *this* valuation requested —
 	// what a standalone evaluator would have paid — so run-backed reports
