@@ -321,29 +321,11 @@ func (w *worker) trainedRun(runID string) (*comfedsv.TrainedRun, error) {
 // (keeping any batches that verified before the damage) and the run
 // proceeds cold — the lease must never fail over a cache.
 func (w *worker) hydrateCells(runID string, tr *comfedsv.TrainedRun) {
-	batches, err := w.runs.ReadCells(runID)
+	added, batches, err := w.runs.WarmCells(runID, tr.PreloadCells)
 	if err != nil {
-		w.quarantineCells(runID, err)
-		return
-	}
-	added := 0
-	for _, b := range batches {
-		n, perr := tr.PreloadCells(b)
-		if perr != nil {
-			w.quarantineCells(runID, perr)
-			break
-		}
-		added += n
+		w.log.Warn("cell cache corrupt, quarantined", "run", runID, "error", err)
 	}
 	if added > 0 {
-		w.log.Info("cell cache preloaded", "run", runID, "cells", added, "batches", len(batches))
+		w.log.Info("cell cache preloaded", "run", runID, "cells", added, "batches", batches)
 	}
-}
-
-func (w *worker) quarantineCells(runID string, cause error) {
-	dst, qerr := w.runs.QuarantineCells(runID)
-	if qerr != nil {
-		dst = "(rename failed: " + qerr.Error() + ")"
-	}
-	w.log.Warn("cell cache corrupt, quarantined", "run", runID, "quarantine", dst, "error", cause)
 }

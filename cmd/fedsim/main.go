@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -65,7 +66,10 @@ func main() {
 	// Report how much of the utility matrix one pass observes.
 	eval := utility.NewEvaluator(run)
 	st := utility.NewStore(len(run.Rounds), run.NumClients())
-	utility.ObserveSelected(eval, st)
+	if err := utility.ObserveSelectedCtx(context.Background(), eval, st); err != nil {
+		fmt.Fprintln(os.Stderr, "fedsim:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("observed utility entries: %d over %d registered subsets (density %.3f)\n",
 		st.NumObserved(), st.NumColumns(), st.Density())
 

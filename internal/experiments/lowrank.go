@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"comfedsv/internal/fl"
@@ -141,7 +142,9 @@ func RankImpact(cfg RankImpactConfig) ([]RankPoint, error) {
 	for mask := uint64(1); mask < 1<<uint(n); mask++ {
 		store.ColumnOf(utility.FromMask(n, mask))
 	}
-	utility.ObserveSelected(eval, store)
+	if err := utility.ObserveSelectedCtx(context.Background(), eval, store); err != nil {
+		return nil, fmt.Errorf("experiments: observing selected coalitions: %w", err)
+	}
 	entries := make([]mc.Entry, 0, store.NumObserved())
 	for _, o := range store.Observations() {
 		entries = append(entries, mc.Entry{Row: o.Row, Col: o.Col, Val: o.Val})

@@ -1,12 +1,8 @@
 package persist
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"comfedsv/internal/faultinject"
 	"comfedsv/internal/utility"
@@ -20,155 +16,84 @@ const (
 	cellsCorruptSuffix = ".cells.corrupt"
 )
 
-// ErrCorruptCellCache reports a cell-cache sidecar whose decoded prefix is
-// unusable: a complete (newline-terminated) batch line that does not
-// parse. A torn trailing line with no newline is NOT corruption — that is
-// exactly what a crash mid-append leaves behind, and a read drops it and
-// returns the durable prefix. Digest mismatches inside a well-formed batch
-// are the evaluator's to detect at preload time; either way the caller's
-// remedy is QuarantineCells and a cold start, never a failed job.
+// ErrCorruptCellCache reports a cell-cache sidecar with a complete line
+// that is not exactly one valid batch. A torn tail is not corruption.
+// Either this or a digest mismatch at preload time is remedied by
+// quarantine and a cold start (WarmCells), never a failed job.
 var ErrCorruptCellCache = errors.New("persist: corrupt cell cache")
 
-func (s *RunStore) cellsPath(id, suffix string) (string, error) {
-	if !ValidJobID(id) {
-		return "", fmt.Errorf("persist: invalid run id %q", id)
-	}
-	return filepath.Join(s.dir, id+suffix), nil
-}
-
 // AppendCells durably appends one batch of evaluated cells to run id's
-// sidecar: marshal to a single JSON line, one write, fsync. The hook, if
-// non-nil, is consulted before and after the write (faultinject
-// OpCellsBefore / OpCellsAfter — the crash points of the sidecar chaos
-// sweep) with the given stage naming the flush boundary; pass nil in
-// production. An empty or nil batch is a no-op.
+// sidecar. The hook, if non-nil, is consulted before and after the write
+// (faultinject OpCellsBefore / OpCellsAfter) with stage naming the flush
+// boundary; pass nil in production. An empty or nil batch is a no-op.
 func (s *RunStore) AppendCells(id string, b *utility.CellBatch, stage string, hook faultinject.Hook) error {
 	if b == nil || len(b.Cells) == 0 {
 		return nil
 	}
-	path, err := s.cellsPath(id, cellsSuffix)
+	l, err := s.log(cellsLog, id)
 	if err != nil {
 		return err
 	}
-	line, err := json.Marshal(b)
-	if err != nil {
-		return fmt.Errorf("persist: encoding cell batch: %w", err)
-	}
-	line = append(line, '\n')
-	if hook != nil {
-		if err := hook(faultinject.Point{Op: faultinject.OpCellsBefore, Stage: stage, Shard: -1, JobID: id}); err != nil {
-			return err
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: opening cell cache: %w", err)
-	}
-	if _, err := f.Write(line); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: appending cell batch: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: syncing cell cache: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("persist: closing cell cache: %w", err)
-	}
-	if hook != nil {
-		if err := hook(faultinject.Point{Op: faultinject.OpCellsAfter, Stage: stage, Shard: -1, JobID: id}); err != nil {
-			return err
-		}
-	}
-	return nil
+	s.cellsMu.Lock()
+	defer s.cellsMu.Unlock()
+	return l.append(b, hook, faultinject.Point{Stage: stage, Shard: -1, JobID: id})
 }
 
-// ReadCells decodes run id's cell-cache sidecar into its durable batches.
-// A missing sidecar returns (nil, nil) — a cold cache, not an error. A
-// torn trailing line (a crash mid-append) is dropped silently; any
-// complete line that fails to decode returns ErrCorruptCellCache so the
-// caller can quarantine the file and degrade to cold-cache evaluation.
-// Batch digests are NOT verified here — the evaluator's Preload does that
-// against the run it actually serves.
+// ReadCells decodes run id's sidecar into its durable batches (see
+// readLog), or returns ErrCorruptCellCache. A missing sidecar is a cold
+// cache: (nil, nil). Batch digests are NOT verified here — the
+// evaluator's Preload does that against the run it actually serves.
 func (s *RunStore) ReadCells(id string) ([]*utility.CellBatch, error) {
-	path, err := s.cellsPath(id, cellsSuffix)
+	l, err := s.log(cellsLog, id)
 	if err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
+	return readLog[*utility.CellBatch](l)
+}
+
+// WarmCells hands every batch of run id's sidecar, in order, to install,
+// and returns the cells installed and the batches read. A sidecar that
+// does not read, or a batch install rejects, is quarantined and the error
+// names the cause and quarantine path; batches installed before the
+// damage stay (they verified), and the caller proceeds warm or cold.
+func (s *RunStore) WarmCells(id string, install func(*utility.CellBatch) (int, error)) (cells, batches int, err error) {
+	bs, cause := s.ReadCells(id)
+	for _, b := range bs {
+		n, ierr := install(b)
+		if ierr != nil {
+			cause = ierr
+			break
 		}
-		return nil, fmt.Errorf("persist: reading cell cache: %w", err)
+		cells += n
 	}
-	// Only newline-terminated lines are durable batches; a trailing
-	// fragment is the torn write of a dying process, not corruption.
-	if i := bytes.LastIndexByte(data, '\n'); i < 0 {
-		data = nil
-	} else {
-		data = data[:i+1]
-	}
-	var batches []*utility.CellBatch
-	for lineNo, line := range bytes.Split(data, []byte{'\n'}) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
+	if cause != nil {
+		dst, qerr := s.QuarantineCells(id)
+		if qerr != nil {
+			dst = "nowhere, " + qerr.Error()
 		}
-		b := new(utility.CellBatch)
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(b); err != nil {
-			return nil, fmt.Errorf("%w: %s line %d: %v", ErrCorruptCellCache, id, lineNo+1, err)
-		}
-		batches = append(batches, b)
+		err = fmt.Errorf("%w (quarantined to %s)", cause, dst)
 	}
-	return batches, nil
+	return cells, len(bs), err
 }
 
 // HasCells reports whether a cell-cache sidecar exists for run id.
-func (s *RunStore) HasCells(id string) bool {
-	path, err := s.cellsPath(id, cellsSuffix)
-	if err != nil {
-		return false
-	}
-	_, err = os.Stat(path)
-	return err == nil
-}
+func (s *RunStore) HasCells(id string) bool { return s.has(id, cellsSuffix) }
 
-// QuarantineCells renames run id's sidecar to its .corrupt name so a
-// damaged cache stops poisoning every warm start but stays available for
-// inspection, then fsyncs the directory. The next writer starts a fresh
-// sidecar; the next reader sees a cold cache. It returns the quarantine
-// path.
+// QuarantineCells moves run id's sidecar out of the warm-start path to
+// its .corrupt name (see appendLog.quarantine) and returns that path. The
+// next writer starts a fresh sidecar; the next reader sees a cold cache.
 func (s *RunStore) QuarantineCells(id string) (string, error) {
-	path, err := s.cellsPath(id, cellsSuffix)
+	l, err := s.log(cellsLog, id)
 	if err != nil {
 		return "", err
 	}
-	dst, err := s.cellsPath(id, cellsCorruptSuffix)
-	if err != nil {
-		return "", err
-	}
-	if err := os.Rename(path, dst); err != nil {
-		return "", fmt.Errorf("persist: quarantining cell cache: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		return "", err
-	}
-	return dst, nil
+	s.cellsMu.Lock()
+	defer s.cellsMu.Unlock()
+	return l.quarantine(nil)
 }
 
 // RemoveCells deletes run id's sidecar and any quarantined copy. Missing
 // files are not an error.
 func (s *RunStore) RemoveCells(id string) error {
-	for _, suffix := range []string{cellsSuffix, cellsCorruptSuffix} {
-		path, err := s.cellsPath(id, suffix)
-		if err != nil {
-			return err
-		}
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("persist: %w", err)
-		}
-	}
-	return syncDir(s.dir)
+	return s.remove(id, cellsSuffix, cellsCorruptSuffix)
 }

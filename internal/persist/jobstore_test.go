@@ -22,10 +22,10 @@ func TestJobStoreRunRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := makeRun(t)
-	if err := store.SaveJobRun("job-1", run); err != nil {
+	if err := store.SaveRun("job-1", run); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := store.LoadJobRun("job-1")
+	loaded, err := store.LoadRun("job-1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,10 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -31,12 +28,9 @@ const (
 	RecFail = "fail"
 )
 
-// ErrCorruptJournal reports a journal whose decoded prefix is unusable: a
-// complete (newline-terminated) record that does not parse, or a missing
-// or malformed leading submit record. A torn trailing record with no
-// newline is NOT corruption — that is exactly what a crash mid-append
-// leaves behind, and recovery drops it and resumes from the last durable
-// record.
+// ErrCorruptJournal reports a journal whose durable prefix is unusable: a
+// complete line that is not exactly one valid record, or a missing or
+// malformed leading submit record. A torn tail is not corruption.
 var ErrCorruptJournal = errors.New("persist: corrupt job journal")
 
 // JournalRecord is one append-only entry in a job's task journal.
@@ -62,72 +56,31 @@ type JournalRecord struct {
 	Request json.RawMessage `json:"request,omitempty"`
 }
 
-// Journal is one job's append-only task journal: each Append marshals a
-// record to a single JSON line, writes it in one call, and fsyncs before
-// returning, so every acknowledged record survives a crash and a torn
-// write can only ever be the trailing line. A Journal is safe for
-// concurrent use; the service serializes appends per task anyway.
+// Journal is one job's append-only task journal, an appendLog of
+// JournalRecord lines. A Journal is safe for concurrent use.
 type Journal struct {
 	mu   sync.Mutex
-	f    *os.File
-	id   string
+	log  *appendLog
 	hook faultinject.Hook
-	dead error // non-nil after a simulated crash: appends are dropped
 }
 
-// OpenJournal opens (creating if needed) the append-only journal of job
-// id. The hook, if non-nil, is consulted before and after every append —
-// the crash-point seam of the chaos suites; pass nil in production.
+// OpenJournal returns the append-only journal of job id; the file is
+// created by the first Append. The hook, if non-nil, is consulted before
+// and after every append — the crash-point seam of the chaos suites; pass
+// nil in production.
 func (s *JobStore) OpenJournal(id string, hook faultinject.Hook) (*Journal, error) {
-	path, err := s.path(id, journalSuffix)
+	l, err := s.log(journalLog, id)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("persist: opening journal: %w", err)
-	}
-	return &Journal{f: f, id: id, hook: hook}, nil
+	return &Journal{log: l, hook: hook}, nil
 }
 
-// Append durably appends one record: marshal, single write, fsync. After
-// a simulated crash (the fault hook returned faultinject.ErrCrash) the
-// journal is dead — the on-disk state is frozen as the dying process
-// left it, and every subsequent Append returns the crash error without
-// touching the file.
+// Append durably appends one record. After a simulated crash (the fault
+// hook returned faultinject.ErrCrash) the journal is dead: the file stays
+// as the dying process left it, and every later Append returns the crash
+// error.
 func (j *Journal) Append(rec JournalRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("persist: encoding journal record: %w", err)
-	}
-	line = append(line, '\n')
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.dead != nil {
-		return j.dead
-	}
-	if err := j.fire(faultinject.OpJournalBefore, rec); err != nil {
-		return err
-	}
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("persist: appending journal record: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("persist: syncing journal: %w", err)
-	}
-	if err := j.fire(faultinject.OpJournalAfter, rec); err != nil {
-		return err
-	}
-	return nil
-}
-
-// fire consults the fault hook at one journal point, latching a
-// simulated crash. Callers hold j.mu.
-func (j *Journal) fire(op string, rec JournalRecord) error {
-	if j.hook == nil {
-		return nil
-	}
 	stage := rec.Type
 	if rec.Type == RecTask && rec.Stage != "" {
 		// Task records expose the pipeline stage, the coordinate chaos
@@ -135,59 +88,37 @@ func (j *Journal) fire(op string, rec JournalRecord) error {
 		// record type.
 		stage = rec.Stage
 	}
-	err := j.hook(faultinject.Point{Op: op, Stage: stage, Shard: rec.Shard, JobID: j.id})
-	if errors.Is(err, faultinject.ErrCrash) {
-		j.dead = err
-	}
-	return err
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.log.append(rec, j.hook, faultinject.Point{Stage: stage, Shard: rec.Shard, JobID: j.log.id})
 }
 
-// Close releases the journal's file handle. The file stays on disk;
-// RemoveJournal deletes it.
+// Close ends the journal's appends: every later Append fails without
+// touching the file, so a straggling append cannot recreate a journal
+// that was removed after Close. The file stays on disk; RemoveJournal
+// deletes it.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.f.Close()
+	if j.log.dead == nil {
+		j.log.dead = fmt.Errorf("persist: appending journal %s: %w", j.log.id, os.ErrClosed)
+	}
+	return nil
 }
 
-// ReadJournal decodes job id's journal. A torn trailing line (no
-// terminating newline — a crash mid-append) is dropped silently; any
-// complete line that fails to decode, or a non-empty journal whose first
-// record is not a valid submit record, returns ErrCorruptJournal so the
-// caller can quarantine the file. A journal with no durable records at
-// all returns (nil, nil): that is a process that died before its first
-// fsync — the job never durably existed — not corruption.
+// ReadJournal decodes job id's durable records (see readLog), or returns
+// ErrCorruptJournal so the caller can quarantine the file — also when the
+// first record is not a valid submit record. A journal with no durable
+// records, or none on disk, returns (nil, nil): the process died before
+// its first fsync, so the job never durably existed.
 func (s *JobStore) ReadJournal(id string) ([]JournalRecord, error) {
-	path, err := s.path(id, journalSuffix)
+	l, err := s.log(journalLog, id)
 	if err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("persist: reading journal: %w", err)
-	}
-	// Only newline-terminated lines are durable records; a trailing
-	// fragment is the torn write of a dying process, not corruption.
-	if i := bytes.LastIndexByte(data, '\n'); i < 0 {
-		data = nil
-	} else {
-		data = data[:i+1]
-	}
-	var recs []JournalRecord
-	for lineNo, line := range bytes.Split(data, []byte{'\n'}) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var rec JournalRecord
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("%w: %s line %d: %v", ErrCorruptJournal, id, lineNo+1, err)
-		}
-		recs = append(recs, rec)
-	}
-	if len(recs) == 0 {
-		return nil, nil
+	recs, err := readLog[JournalRecord](l)
+	if err != nil || len(recs) == 0 {
+		return nil, err
 	}
 	if recs[0].Type != RecSubmit || len(recs[0].Request) == 0 {
 		return nil, fmt.Errorf("%w: %s does not start with a submit record", ErrCorruptJournal, id)
@@ -197,78 +128,24 @@ func (s *JobStore) ReadJournal(id string) ([]JournalRecord, error) {
 
 // ListJournals returns the sorted IDs of every job with a journal on
 // disk — the in-flight jobs a previous process left behind.
-func (s *JobStore) ListJournals() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	var ids []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, journalSuffix) {
-			continue
-		}
-		id := strings.TrimSuffix(name, journalSuffix)
-		if ValidJobID(id) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids, nil
-}
+func (s *JobStore) ListJournals() ([]string, error) { return s.list(journalSuffix) }
 
-// QuarantineJournal renames job id's journal to its .corrupt name so a
-// damaged file stops being replayed on every startup but stays available
-// for inspection, then fsyncs the directory — without the sync, a crash
-// right after the rename can resurrect the corrupt journal and re-fail
-// every subsequent startup. The hook, if non-nil, is consulted between
-// the rename and the directory sync (faultinject.OpQuarantine — the
-// crash window the resurrection chaos suite targets); pass nil in
-// production. It returns the quarantine path.
+// QuarantineJournal moves job id's journal out of the replay path to its
+// .corrupt name (see appendLog.quarantine) and returns that path. Pass a
+// nil hook in production.
 func (s *JobStore) QuarantineJournal(id string, hook faultinject.Hook) (string, error) {
-	path, err := s.path(id, journalSuffix)
+	l, err := s.log(journalLog, id)
 	if err != nil {
 		return "", err
 	}
-	dst, err := s.path(id, corruptSuffix)
-	if err != nil {
-		return "", err
-	}
-	if err := os.Rename(path, dst); err != nil {
-		return "", fmt.Errorf("persist: quarantining journal: %w", err)
-	}
-	if hook != nil {
-		if err := hook(faultinject.Point{Op: faultinject.OpQuarantine, Stage: "quarantine", Shard: -1, JobID: id}); err != nil {
-			return "", err
-		}
-	}
-	if err := syncDir(s.dir); err != nil {
-		return "", err
-	}
-	return dst, nil
+	return l.quarantine(hook)
 }
 
 // RemoveJournal deletes job id's journal and fsyncs the directory so the
 // deletion is durable — a resurrected journal would make a restarted
 // daemon replay a job that already finished. A missing file is not an
 // error.
-func (s *JobStore) RemoveJournal(id string) error {
-	path, err := s.path(id, journalSuffix)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("persist: %w", err)
-	}
-	return syncDir(s.dir)
-}
+func (s *JobStore) RemoveJournal(id string) error { return s.remove(id, journalSuffix) }
 
 // HasJournal reports whether a journal exists for job id.
-func (s *JobStore) HasJournal(id string) bool {
-	path, err := s.path(id, journalSuffix)
-	if err != nil {
-		return false
-	}
-	_, err = os.Stat(path)
-	return err == nil
-}
+func (s *JobStore) HasJournal(id string) bool { return s.has(id, journalSuffix) }

@@ -308,3 +308,27 @@ func TestDeleteJobRemovesJournalArtifacts(t *testing.T) {
 		t.Fatalf("DeleteJob left artifacts behind: %v", names)
 	}
 }
+
+func TestJournalAppendAfterCloseIsRefused(t *testing.T) {
+	// Appends open the file afresh, so a closed journal must refuse them:
+	// a straggling append after close + remove would otherwise recreate
+	// the journal without its submit record.
+	s := newTestStore(t)
+	j, err := s.OpenJournal("job-closed", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(submitRec(t)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if err := s.RemoveJournal("job-closed"); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(JournalRecord{Type: RecTask, Stage: "observe"}); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("append after close: err = %v, want os.ErrClosed", err)
+	}
+	if s.HasJournal("job-closed") {
+		t.Fatal("append after close recreated the removed journal")
+	}
+}

@@ -3,6 +3,18 @@
 // server records the run once (cmd/fedsim -save) and analysts recompute
 // FedSV / ComFedSV / baselines later without retraining
 // (cmd/datavalue -run).
+//
+// It also holds the daemon's disk state. JobStore (reports, traces, job
+// journals) and RunStore (shared traces, cell-cache sidecars) share one
+// directory base of validated <id><suffix> files. Job journals
+// (<id>.journal) and cell sidecars (<runID>.cells) share one append-only
+// log format: one JSON object per line, each append a single fsynced
+// write. Readers drop a torn trailing line (a crash mid-append) and never
+// modify the file; writers truncate it back to the last newline before
+// appending, so it cannot fuse with the next record. Every complete line
+// must decode as exactly one record, with no unknown fields and no
+// trailing data, or the read fails with the log's corrupt sentinel and
+// the caller quarantines the file.
 package persist
 
 import (

@@ -492,6 +492,68 @@ func TestTornJournalTailResumesJob(t *testing.T) {
 	}
 }
 
+// TestTornJournalTailThenCrashResumesJob pins the writer-side torn-tail
+// repair across two restarts: the daemon that resumes a torn journal
+// appends after the fragment and dies again, and the next restart must
+// still read every durable record and finish byte-identical. Without the
+// repair the fragment and the next record fuse into one complete,
+// undecodable line, and the second restart quarantines a resumable job.
+func TestTornJournalTailThenCrashResumesJob(t *testing.T) {
+	req := tinyRequest(13)
+	want := runToCompletion(t, req)
+
+	dir := t.TempDir()
+	// start runs a manager over dir — a daemon (re)start.
+	start := func(hook faultinject.Hook) *Manager {
+		store, err := persist.NewJobStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewManager(Config{Workers: 1, Store: store, FaultHook: hook})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m1 := start(faultinject.CrashNth(faultinject.OpJournalBefore, taskObserve, 1))
+	id, err := m1.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, m1, id); st.State != StateFailed {
+		t.Fatalf("first crash: job state %s (%s)", st.State, st.Error)
+	}
+	shutdown(t, m1)
+	f, err := os.OpenFile(filepath.Join(dir, id+".journal"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"type":"task","stage":"obse`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	// The resuming daemon dies right after its first observe record is
+	// durable — a record appended after the torn tail.
+	m2 := start(faultinject.CrashNth(faultinject.OpJournalAfter, taskObserve, 1))
+	if st := waitTerminal(t, m2, id); st.State != StateFailed || !strings.Contains(st.Error, "simulated crash") {
+		t.Fatalf("second crash: job state %s (%s)", st.State, st.Error)
+	}
+	shutdown(t, m2)
+
+	m3 := start(nil)
+	defer shutdown(t, m3)
+	if st := waitTerminal(t, m3, id); st.State != StateDone {
+		t.Fatalf("twice-resumed job finished %s (%s)", st.State, st.Error)
+	}
+	if got := reportBytes(t, dir, id); !bytes.Equal(got, want) {
+		t.Fatal("twice-resumed report diverges from baseline")
+	}
+	if m3.Metrics().JobsRecovered != 1 {
+		t.Fatalf("jobs_recovered = %d, want 1", m3.Metrics().JobsRecovered)
+	}
+}
+
 // TestUserCancelRemovesJournalShutdownKeepsIt pins the two cancellation
 // flavors: an explicit Cancel must not resurrect on restart (journal
 // removed); a shutdown abort must (journal kept, job resumes).

@@ -77,6 +77,7 @@ func (m *Manager) sealJournal(j *job) {
 	case errors.Is(jerr, faultinject.ErrCrash):
 	case state == StateDone:
 	case userCancel:
+		jr.Close() // before the remove: no straggling append recreates the file
 		if m.cfg.Store != nil {
 			if err := m.cfg.Store.RemoveJournal(j.id); err != nil {
 				m.logJob("journal remove failed", j, "error", err.Error())

@@ -77,7 +77,7 @@ func (m *Manager) newValuation(j *job) stagedValuation {
 			// function of the journaled request — rebuilds the identical
 			// trace.
 			if j.recovered && m.cfg.Store != nil {
-				if run, lerr := m.cfg.Store.LoadJobRun(j.id); lerr == nil {
+				if run, lerr := m.cfg.Store.LoadRun(j.id); lerr == nil {
 					return comfedsv.NewValuation(comfedsv.NewTrainedRun(run), j.opts), false, nil
 				}
 			}
@@ -224,7 +224,7 @@ func (m *Manager) prepareTask(j *job) *task {
 				if tc, ok := j.val.(traceCarrier); ok {
 					// Best-effort: an unsaved trace only costs a recovery
 					// a deterministic retraining, never correctness.
-					if serr := m.cfg.Store.SaveJobRun(j.id, tc.TrainedRun().Run()); serr != nil {
+					if serr := m.cfg.Store.SaveRun(j.id, tc.TrainedRun().Run()); serr != nil {
 						m.logJob("trace persist failed", j, "error", serr.Error())
 					}
 				}

@@ -454,24 +454,13 @@ func FullMatrix(e Source) *mat.Dense {
 	return u
 }
 
-// ObserveSelected records the utilities of every subset of the selected
-// clients in every round — the "observed" region {U_{t,S} : S ⊆ I_t} that
-// the exact (non-sampled) formulation (9) uses. Only feasible for small
-// selection sizes.
-func ObserveSelected(e Source, st *Store) {
-	if err := ObserveSelectedCtx(context.Background(), e, st); err != nil {
-		// The background context never cancels, so this is the
-		// infeasible-selection or non-finite-utility error — panic to
-		// preserve the historical ObserveSelected contract.
-		panic(err)
-	}
-}
-
-// ObserveSelectedCtx is ObserveSelected with cooperative cancellation,
-// checked before every utility evaluation (a single round costs up to
-// 2^|I_t| of them). Unlike ObserveSelected it returns an error instead of
-// panicking for infeasible selection sizes, and a *NonFiniteError at the
-// first NaN or ±Inf utility.
+// ObserveSelectedCtx records the utilities of every subset of the
+// selected clients in every round — the "observed" region
+// {U_{t,S} : S ⊆ I_t} that the exact (non-sampled) formulation (9) uses.
+// Only feasible for small selection sizes: a selection of more than 20
+// clients is an error. The context is checked before every utility
+// evaluation (a single round costs up to 2^|I_t| of them), and the first
+// NaN or ±Inf utility returns a *NonFiniteError.
 func ObserveSelectedCtx(ctx context.Context, e Source, st *Store) error {
 	for t, rd := range e.Run().Rounds {
 		sel := rd.Selected

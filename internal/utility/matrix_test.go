@@ -1,6 +1,7 @@
 package utility
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -153,7 +154,9 @@ func TestObserveSelectedCoversSubsetsOfSelection(t *testing.T) {
 	run := tinyRun(t, 5, 4, 2)
 	e := NewEvaluator(run)
 	st := NewStore(4, 5)
-	ObserveSelected(e, st)
+	if err := ObserveSelectedCtx(context.Background(), e, st); err != nil {
+		t.Fatal(err)
+	}
 	// Round 0 is full (5 clients): 31 subsets. Rounds 1–3: 3 subsets each.
 	want := 31 + 3*3
 	if st.NumObserved() != want {
