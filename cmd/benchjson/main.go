@@ -3,8 +3,9 @@
 // snapshots (see README "Observability"). Five scenarios cover the cost
 // centers of the valuation pipeline:
 //
-//   - als_completion: the ALS matrix-completion solver on the realistic
-//     60×400 rank-5 utility-matrix shape (internal/mc's hot path),
+//   - als_completion: the ALS matrix-completion solver on a
+//     utility-shaped T=10 × 4,000-column rank-5 matrix whose row 0 is
+//     fully observed (mc.UtilityShaped; internal/mc's hot path),
 //   - observation_throughput: cold-cache permutation-prefix test-loss
 //     evaluation fanned out over a worker pool (Algorithm 1's dominant
 //     cost),
@@ -110,11 +111,11 @@ func main() {
 	}
 
 	// --- als_completion ---
-	rows, cols := 60, 400
+	rows, cols := 10, 4000
 	if *quick {
-		rows, cols = 30, 160
+		rows, cols = 10, 400
 	}
-	obs := synthEntries(rows, cols, 5, 0.15, 42)
+	obs := mc.UtilityShaped(rows, cols, 5, 42)
 	for _, cpu := range cpuList {
 		runtime.GOMAXPROCS(cpu)
 		cfg := mc.DefaultConfig(5)
@@ -123,7 +124,7 @@ func main() {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := mc.Complete(obs, rows, cols, cfg); err != nil {
+				if _, err := mc.Complete(context.Background(), obs, rows, cols, cfg); err != nil {
 					benchErr = err
 					b.FailNow()
 				}
@@ -394,40 +395,6 @@ func toResult(name string, cpu, workers int, r testing.BenchmarkResult) benchRes
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
 	}
-}
-
-// synthEntries samples a density-fraction of a random rank-`rank` matrix —
-// the observation pattern the completion solver sees in production, the
-// same fixture shape as internal/mc's BenchmarkComplete.
-func synthEntries(rows, cols, rank int, density float64, seed int64) []mc.Entry {
-	g := rng.New(seed)
-	w := make([][]float64, rows)
-	for i := range w {
-		w[i] = make([]float64, rank)
-		for k := range w[i] {
-			w[i][k] = g.Normal(0, 1)
-		}
-	}
-	h := make([][]float64, cols)
-	for j := range h {
-		h[j] = make([]float64, rank)
-		for k := range h[j] {
-			h[j][k] = g.Normal(0, 1)
-		}
-	}
-	var out []mc.Entry
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if g.Float64() < density {
-				v := 0.0
-				for k := 0; k < rank; k++ {
-					v += w[i][k] * h[j][k]
-				}
-				out = append(out, mc.Entry{Row: i, Col: j, Val: v})
-			}
-		}
-	}
-	return out
 }
 
 // buildEvaluator trains a small federated run and wraps it in a utility

@@ -155,7 +155,7 @@ func RankImpact(cfg RankImpactConfig) ([]RankPoint, error) {
 		mcCfg := mc.DefaultConfig(r)
 		mcCfg.Lambda = cfg.Lambda
 		mcCfg.WeightedReg = cfg.WeightedReg
-		res, err := mc.Complete(entries, t, store.NumColumns(), mcCfg)
+		res, err := mc.Complete(context.Background(), entries, t, store.NumColumns(), mcCfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: completing at rank %d: %w", r, err)
 		}

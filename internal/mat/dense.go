@@ -251,17 +251,3 @@ func SolveSPD(a *Dense, b []float64) ([]float64, error) {
 	}
 	return CholeskySolve(l, b), nil
 }
-
-// RidgeSolve solves (AᵀA + λI) x = Aᵀ b for the rows of A given as a slice
-// of feature vectors. RidgeSolveInto is the allocation-free variant used on
-// the ALS hot path.
-func RidgeSolve(features [][]float64, targets []float64, lambda float64) ([]float64, error) {
-	if len(features) == 0 {
-		return nil, ErrRidgeNoObservations
-	}
-	dst := make([]float64, len(features[0]))
-	if err := RidgeSolveInto(features, targets, lambda, dst, NewRidgeScratch(len(dst))); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}

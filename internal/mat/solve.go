@@ -1,19 +1,18 @@
 package mat
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
 
-// This file holds the allocation-free kernel variants behind Cholesky,
-// CholeskySolve, and RidgeSolve. The ALS matrix-completion solver calls a
-// small ridge solve once per factor row per sweep — hundreds of thousands of
-// times per completion — so these kernels accumulate the Gram matrix in
-// place, factor in place, and substitute in place, with slice-based inner
-// loops instead of bounds-checked At/Set. The allocating wrappers in
-// dense.go delegate here; both produce bit-identical results (the summation
-// order is unchanged).
+// This file holds the allocation-free kernel variants behind Cholesky and
+// CholeskySolve. The ALS matrix-completion solver factors one small Gram
+// matrix per observation pattern and substitutes once per factor row per
+// sweep — hundreds of thousands of times per completion — so these kernels
+// factor in place and substitute in place, with slice-based inner loops
+// instead of bounds-checked At/Set. The allocating wrappers in dense.go
+// delegate here; both produce bit-identical results (the summation order is
+// unchanged).
 
 // CholeskyInto computes the lower-triangular factor L with a = L Lᵀ into l,
 // which must be a square matrix of a's shape (its prior contents are
@@ -82,94 +81,4 @@ func CholeskySolveInto(l *Dense, b, x, y []float64) {
 		}
 		x[i] = s / ld[i*n+i]
 	}
-}
-
-// RidgeScratch holds the working storage of RidgeSolveInto so a caller
-// solving many same-rank ridge systems (one per factor row per ALS sweep)
-// allocates once per worker instead of once per solve. The zero value is
-// usable; buffers grow on demand and are reused across ranks.
-type RidgeScratch struct {
-	gram *Dense
-	chol *Dense
-	rhs  []float64
-	y    []float64
-}
-
-// NewRidgeScratch returns scratch pre-sized for rank-r solves.
-func NewRidgeScratch(r int) *RidgeScratch {
-	s := &RidgeScratch{}
-	s.reset(r)
-	return s
-}
-
-// reset sizes the buffers for rank r and zeroes the accumulators.
-func (s *RidgeScratch) reset(r int) {
-	if s.gram == nil || s.gram.rows < r {
-		s.gram = NewDense(r, r)
-		s.chol = NewDense(r, r)
-		s.rhs = make([]float64, r)
-		s.y = make([]float64, r)
-		return
-	}
-	if s.gram.rows > r {
-		// Reshape the existing backing arrays down to r×r so row strides
-		// match the smaller rank.
-		s.gram = NewDenseData(r, r, s.gram.data[:r*r])
-		s.chol = NewDenseData(r, r, s.chol.data[:r*r])
-		s.rhs = s.rhs[:r]
-		s.y = s.y[:r]
-	}
-	for i := range s.gram.data {
-		s.gram.data[i] = 0
-	}
-	for i := range s.rhs {
-		s.rhs[i] = 0
-	}
-}
-
-// ErrRidgeNoObservations is returned by the ridge solvers when called with
-// an empty system.
-var ErrRidgeNoObservations = errors.New("mat: ridge with no observations")
-
-// RidgeSolveInto solves (AᵀA + λI) x = Aᵀ b into dst (length must equal the
-// feature dimension) without allocating: the Gram matrix, Cholesky factor,
-// and substitution buffers live in s. It is the allocation-free core of
-// RidgeSolve and the workhorse of the parallel ALS solver, where each
-// worker owns one scratch.
-func RidgeSolveInto(features [][]float64, targets []float64, lambda float64, dst []float64, s *RidgeScratch) error {
-	if len(features) != len(targets) {
-		panic(fmt.Sprintf("mat: ridge rows %d != targets %d", len(features), len(targets)))
-	}
-	if len(features) == 0 {
-		return ErrRidgeNoObservations
-	}
-	r := len(features[0])
-	if len(dst) != r {
-		panic(fmt.Sprintf("mat: ridge destination %d != rank %d", len(dst), r))
-	}
-	s.reset(r)
-	gd := s.gram.data
-	rhs := s.rhs
-	for row, f := range features {
-		if len(f) != r {
-			panic("mat: ragged feature rows")
-		}
-		t := targets[row]
-		for i := 0; i < r; i++ {
-			fi := f[i]
-			rhs[i] += fi * t
-			gi := gd[i*r : i*r+r]
-			for j := 0; j < r; j++ {
-				gi[j] += fi * f[j]
-			}
-		}
-	}
-	for i := 0; i < r; i++ {
-		gd[i*r+i] += lambda
-	}
-	if err := CholeskyInto(s.chol, s.gram); err != nil {
-		return err
-	}
-	CholeskySolveInto(s.chol, rhs, dst, s.y)
-	return nil
 }

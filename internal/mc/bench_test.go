@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -28,50 +29,55 @@ func synthEntries(rows, cols, rank int, density float64, seed int64) []Entry {
 	return out
 }
 
-// BenchmarkComplete measures the ALS solver on a realistic utility-matrix
-// shape (T=60 rounds × 400 prefix columns, rank 5) across worker counts.
-// Run with -benchmem: the workers-1 case demonstrates the allocation-lean
-// ridge path (the seed ran this fixture at ~131 ms/op and 751,971
-// allocs/op; see CHANGES.md PR 2), the sweep demonstrates multicore
+// BenchmarkComplete measures the ALS solver across worker counts on two
+// fixtures: a uniform random 60×400 rank-5 matrix at 15% density (the
+// seed ran it at ~131 ms/op and 751,971 allocs/op; see CHANGES.md PR 2),
+// and a utility-shaped T=10 × 4,000-column rank-5 matrix whose row 0 is
+// fully observed, where a few dozen observation patterns cover every
+// column. Run with -benchmem; the worker sweep demonstrates multicore
 // scaling on machines with spare cores.
 func BenchmarkComplete(b *testing.B) {
-	rows, cols := 60, 400
-	obs := synthEntries(rows, cols, 5, 0.15, 42)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			cfg := DefaultConfig(5)
-			cfg.Workers = workers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Complete(obs, rows, cols, cfg); err != nil {
-					b.Fatal(err)
+	fixtures := []struct {
+		name       string
+		obs        []Entry
+		rows, cols int
+	}{
+		{"uniform-60x400", synthEntries(60, 400, 5, 0.15, 42), 60, 400},
+		{"utility-10x4000", UtilityShaped(10, 4000, 5, 42), 10, 4000},
+	}
+	for _, fx := range fixtures {
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/workers-%d", fx.name, workers), func(b *testing.B) {
+				cfg := DefaultConfig(5)
+				cfg.Workers = workers
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := Complete(context.Background(), fx.obs, fx.rows, fx.cols, cfg); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
-// BenchmarkRidgeUpdate isolates the per-row ridge sub-solve, the innermost
-// kernel of every ALS sweep. The seed allocated features/targets/Gram/
-// Cholesky storage on every call; with a warm scratch it allocates nothing.
-func BenchmarkRidgeUpdate(b *testing.B) {
+// BenchmarkHalfSweep isolates one pattern-grouped column half-sweep of the
+// utility-shaped fixture on one worker — factor each pattern's Gram
+// matrix, then solve every column — the innermost loop of every ALS
+// iteration. It allocates nothing.
+func BenchmarkHalfSweep(b *testing.B) {
+	const rows, cols = 10, 4000
+	obs := UtilityShaped(rows, cols, 5, 42)
+	prob := &alsProblem{rows: newALSSide(obs, rows, true), cols: newALSSide(obs, cols, false)}
 	g := rng.New(7)
-	opposite := randomFactor(400, 5, 1, g)
-	entries := make([]Entry, 60)
-	for i := range entries {
-		entries[i] = Entry{Row: 0, Col: i * 6, Val: g.Normal(0, 1)}
-	}
-	dst := make([]float64, 5)
-	sc := newALSScratch(5)
-	// Warm the scratch so the steady-state zero-allocation path is measured.
-	if err := ridgeUpdate(entries, opposite, dst, 0.01, true, sc); err != nil {
-		b.Fatal(err)
-	}
+	w, h := randomFactor(rows, 5, 1, g), randomFactor(cols, 5, 1, g)
+	a := newALSWork(prob, DefaultConfig(5), 1)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ridgeUpdate(entries, opposite, dst, 0.01, true, sc); err != nil {
+		if err := a.halfSweep(ctx, prob.cols, w, h); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,9 +7,22 @@
 // scratch with two backends: alternating least squares (the default —
 // deterministic, each factor row is a small ridge regression solved by
 // Cholesky) and stochastic gradient descent (LIBPMF-style updates).
+//
+// ALS groups the factor rows of each side once per solve by ordered
+// observation pattern: the exact sequence of opposite-factor indices in
+// observation order. Rows that share a pattern share their ridge system's
+// Gram matrix bit for bit, so each half-sweep factors one Gram matrix per
+// pattern and then solves every row's right-hand side against its
+// pattern's factor. In a Monte-Carlo utility matrix almost every column is
+// observed only in the full-participation round, so a few dozen patterns
+// cover thousands of columns. The result is bit-identical to solving every
+// row on its own, and a steady-state half-sweep on one worker allocates
+// nothing.
 package mc
 
 import (
+	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -79,10 +92,11 @@ type Config struct {
 	// Seed drives factor initialization (and SGD order).
 	Seed int64
 	// Workers bounds the number of goroutines the solver may use; 0 means
-	// GOMAXPROCS. ALS parallelizes across restarts and across factor rows
-	// (row updates against a fixed opposite factor are independent and
-	// write disjoint slices), so the result is bit-identical for every
-	// worker count. SGD is inherently sequential and ignores Workers.
+	// GOMAXPROCS. ALS parallelizes across restarts and, within a
+	// half-sweep, across patterns (factorization) and factor rows (solves)
+	// — each reads only the fixed opposite factor and writes its own
+	// storage — so the result is bit-identical for every worker count.
+	// SGD is inherently sequential and ignores Workers.
 	Workers int
 	// Warm, if non-nil, warm-starts the first attempt from prior factors —
 	// typically the previous wave's fit in an adaptive valuation, or a
@@ -129,6 +143,13 @@ type Result struct {
 	Iterations int
 	// TrainRMSE is the root-mean-squared error on the observed entries.
 	TrainRMSE float64
+	// Patterns is the number of distinct ordered observation patterns
+	// among the observed columns: the Cholesky factorizations one ALS
+	// column half-sweep performs. 0 under SGD.
+	Patterns int
+	// Restart is the index of the winning attempt; attempt 0 is the
+	// warm-started one when Config.Warm is set.
+	Restart int
 }
 
 // Predict returns the completed value of cell (row, col).
@@ -145,10 +166,19 @@ func (r *Result) Completed() *mat.Dense {
 // the observed entries, keeping the best of cfg.Restarts random
 // initializations. Restarts run concurrently up to cfg.Workers; the winner
 // (lowest objective, earliest attempt on ties) is the same one the serial
-// loop would pick, so results do not depend on the worker count.
-func Complete(obs []Entry, rows, cols int, cfg Config) (*Result, error) {
+// loop would pick, so results do not depend on the worker count. The solve
+// checks ctx once per ALS half-sweep (or SGD epoch) and returns ctx.Err()
+// once it is cancelled; a solve that completes is unaffected by ctx.
+func Complete(ctx context.Context, obs []Entry, rows, cols int, cfg Config) (*Result, error) {
 	if err := validate(obs, rows, cols, cfg); err != nil {
 		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var prob *alsProblem
+	if cfg.Solver == ALS {
+		prob = &alsProblem{rows: newALSSide(obs, rows, true), cols: newALSSide(obs, cols, false)}
 	}
 	restarts := cfg.Restarts
 	if restarts < 1 {
@@ -181,7 +211,7 @@ func Complete(obs []Entry, rows, cols int, cfg Config) (*Result, error) {
 	errs := make([]error, restarts)
 	if conc <= 1 {
 		for attempt := 0; attempt < restarts; attempt++ {
-			results[attempt], errs[attempt] = completeOnce(obs, rows, cols, cfg, cfg.Seed+int64(attempt), workers, warmFor(attempt))
+			results[attempt], errs[attempt] = completeOnce(ctx, prob, obs, rows, cols, cfg, attempt, workers, warmFor(attempt))
 		}
 	} else {
 		sem := make(chan struct{}, conc)
@@ -192,7 +222,7 @@ func Complete(obs []Entry, rows, cols int, cfg Config) (*Result, error) {
 			go func(attempt int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				results[attempt], errs[attempt] = completeOnce(obs, rows, cols, cfg, cfg.Seed+int64(attempt), inner, warmFor(attempt))
+				results[attempt], errs[attempt] = completeOnce(ctx, prob, obs, rows, cols, cfg, attempt, inner, warmFor(attempt))
 			}(attempt)
 		}
 		wg.Wait()
@@ -205,13 +235,16 @@ func Complete(obs []Entry, rows, cols int, cfg Config) (*Result, error) {
 		}
 		if best == nil || results[attempt].Objective < best.Objective {
 			best = results[attempt]
+			best.Restart = attempt
 		}
 	}
 	return best, nil
 }
 
-func completeOnce(obs []Entry, rows, cols int, cfg Config, seed int64, workers int, warm *Warm) (*Result, error) {
-	g := rng.New(seed)
+// completeOnce runs one attempt, seeded by cfg.Seed+attempt. prob is the
+// ALS grouping of obs (nil under SGD).
+func completeOnce(ctx context.Context, prob *alsProblem, obs []Entry, rows, cols int, cfg Config, attempt, workers int, warm *Warm) (*Result, error) {
+	g := rng.New(cfg.Seed + int64(attempt))
 	scale := 1 / math.Sqrt(float64(cfg.Rank))
 	if warm != nil && (warm.W == nil || warm.H == nil || warm.W.Cols() != cfg.Rank || warm.H.Cols() != cfg.Rank) {
 		warm = nil // rank mismatch: the warm factors cannot seed this problem
@@ -227,9 +260,9 @@ func completeOnce(obs []Entry, rows, cols int, cfg Config, seed int64, workers i
 
 	switch cfg.Solver {
 	case ALS:
-		return completeALS(obs, w, h, cfg, workers)
+		return completeALS(ctx, prob, obs, w, h, cfg, workers)
 	case SGD:
-		return completeSGD(obs, w, h, cfg, g)
+		return completeSGD(ctx, obs, w, h, cfg, g)
 	default:
 		return nil, fmt.Errorf("mc: unknown solver %v", cfg.Solver)
 	}
@@ -298,50 +331,127 @@ func objective(obs []Entry, w, h *mat.Dense, lambda float64) (obj, rmse float64)
 	return sse + lambda*(fw*fw+fh*fh), math.Sqrt(sse / float64(len(obs)))
 }
 
-// alsScratch is the per-worker working storage of the ALS inner loop: the
-// ridge system's feature/target views and the mat.RidgeScratch buffers. One
-// scratch per worker removes every per-row allocation from the sweep.
-type alsScratch struct {
-	features [][]float64
-	targets  []float64
-	ridge    *mat.RidgeScratch
+// alsSide is one factor's view of the observations for ALS, built once
+// per Complete call and shared read-only by every restart: each target
+// row's observations in compressed-row form, and the ordered observation
+// pattern each row shares with others. Rows sharing a pattern sum their
+// Gram matrix over the same opposite rows in the same order, so one
+// Cholesky factorization serves them all bit for bit.
+type alsSide struct {
+	name  string    // "row" or "column", names the side in errors
+	start []int     // target i's observations are opp/val[start[i]:start[i+1]]
+	opp   []int     // opposite-factor index of each observation
+	val   []float64 // observed value of each observation
+	pat   []int     // pat[i] is target i's pattern, -1 if it has no observations
+	rep   []int     // rep[p] is the lowest target with pattern p
 }
 
-func newALSScratch(rank int) *alsScratch {
-	return &alsScratch{ridge: mat.NewRidgeScratch(rank)}
-}
-
-func completeALS(obs []Entry, w, h *mat.Dense, cfg Config, workers int) (*Result, error) {
-	rows, _ := w.Dims()
-	cols, _ := h.Dims()
-	byRow := make([][]Entry, rows)
-	byCol := make([][]Entry, cols)
+func newALSSide(obs []Entry, n int, rowSide bool) *alsSide {
+	sd := &alsSide{
+		name:  "column",
+		start: make([]int, n+1),
+		opp:   make([]int, len(obs)),
+		val:   make([]float64, len(obs)),
+		pat:   make([]int, n),
+	}
+	if rowSide {
+		sd.name = "row"
+	}
+	split := func(e Entry) (target, opposite int) {
+		if rowSide {
+			return e.Row, e.Col
+		}
+		return e.Col, e.Row
+	}
 	for _, e := range obs {
-		byRow[e.Row] = append(byRow[e.Row], e)
-		byCol[e.Col] = append(byCol[e.Col], e)
+		t, _ := split(e)
+		sd.start[t+1]++
 	}
+	for i := 0; i < n; i++ {
+		sd.start[i+1] += sd.start[i]
+	}
+	next := append([]int(nil), sd.start[:n]...)
+	for _, e := range obs {
+		t, o := split(e)
+		sd.opp[next[t]], sd.val[next[t]] = o, e.Val
+		next[t]++
+	}
+	ids := make(map[string]int)
+	var key []byte
+	for i := 0; i < n; i++ {
+		opp := sd.opp[sd.start[i]:sd.start[i+1]]
+		if len(opp) == 0 {
+			sd.pat[i] = -1
+			continue
+		}
+		key = key[:0]
+		for _, o := range opp {
+			key = binary.AppendUvarint(key, uint64(o))
+		}
+		p, ok := ids[string(key)]
+		if !ok {
+			p = len(sd.rep)
+			ids[string(key)] = p
+			sd.rep = append(sd.rep, i)
+		}
+		sd.pat[i] = p
+	}
+	return sd
+}
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	scratches := make([]*alsScratch, workers)
-	for i := range scratches {
-		scratches[i] = newALSScratch(cfg.Rank)
-	}
+// alsProblem is the observations grouped for ALS, one alsSide per factor.
+type alsProblem struct{ rows, cols *alsSide }
 
+// alsWork is one ALS attempt's working storage: a Cholesky factor per
+// pattern (reused by both sides — a half-sweep consumes its factors before
+// the next one overwrites them) and per-worker Gram, right-hand-side, and
+// substitution buffers. A half-sweep allocates nothing per pattern or per
+// row, and nothing at all on one worker.
+type alsWork struct {
+	cfg     Config
+	workers int
+	chol    []*mat.Dense
+	scratch []alsScratch
+
+	// The half-sweep in progress.
+	side             *alsSide
+	opposite, target *mat.Dense
+}
+
+type alsScratch struct {
+	gram   *mat.Dense
+	rhs, y []float64
+}
+
+func newALSWork(p *alsProblem, cfg Config, workers int) *alsWork {
+	r := cfg.Rank
+	a := &alsWork{
+		cfg:     cfg,
+		workers: workers,
+		chol:    make([]*mat.Dense, max(len(p.rows.rep), len(p.cols.rep))),
+		scratch: make([]alsScratch, workers),
+	}
+	for i := range a.chol {
+		a.chol[i] = mat.NewDense(r, r)
+	}
+	for i := range a.scratch {
+		a.scratch[i] = alsScratch{gram: mat.NewDense(r, r), rhs: make([]float64, r), y: make([]float64, r)}
+	}
+	return a
+}
+
+func completeALS(ctx context.Context, prob *alsProblem, obs []Entry, w, h *mat.Dense, cfg Config, workers int) (*Result, error) {
+	a := newALSWork(prob, cfg, workers)
 	prev := math.Inf(1)
 	iters := 0
 	for it := 0; it < cfg.MaxIter; it++ {
 		iters = it + 1
-		// Update each row of W against fixed H, then each row of H against
-		// fixed W. Within one half-sweep every row update reads only the
-		// fixed opposite factor and writes its own disjoint row slice, so
-		// the rows can be solved on any worker in any order without
-		// changing a single bit of the result.
-		if err := updateFactor(byRow, h, w, cfg, true, workers, scratches); err != nil {
+		// Update every row of W against fixed H, then every row of H
+		// against fixed W.
+		if err := a.halfSweep(ctx, prob.rows, h, w); err != nil {
 			return nil, err
 		}
-		if err := updateFactor(byCol, w, h, cfg, false, workers, scratches); err != nil {
+		if err := a.halfSweep(ctx, prob.cols, w, h); err != nil {
 			return nil, err
 		}
 		obj, _ := objective(obs, w, h, cfg.Lambda)
@@ -352,52 +462,128 @@ func completeALS(obs []Entry, w, h *mat.Dense, cfg Config, workers int) (*Result
 		prev = obj
 	}
 	obj, rmse := objective(obs, w, h, cfg.Lambda)
-	return &Result{W: w, H: h, Objective: obj, Iterations: iters, TrainRMSE: rmse}, nil
+	return &Result{W: w, H: h, Objective: obj, Iterations: iters, TrainRMSE: rmse, Patterns: len(prob.cols.rep)}, nil
 }
 
-// updateFactor solves the ridge sub-problem for every row of target against
-// the fixed opposite factor, fanning the rows out over workers goroutines.
-// groups[i] holds the observations of target row i.
-func updateFactor(groups [][]Entry, opposite, target *mat.Dense, cfg Config, rowSide bool, workers int, scratches []*alsScratch) error {
-	n := len(groups)
-	if workers > n {
-		workers = n
+// halfSweep re-solves the ridge sub-problem of every row of target against
+// the fixed opposite factor, after checking ctx. It first factors each
+// pattern's Gram matrix, then solves each target row's right-hand side
+// against its pattern's factor. Each item of either phase reads only the
+// fixed opposite factor and writes its own storage (a pattern's factor, a
+// target row), so items run on any worker in any order without changing a
+// bit of the result.
+func (a *alsWork) halfSweep(ctx context.Context, sd *alsSide, opposite, target *mat.Dense) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
+	a.side, a.opposite, a.target = sd, opposite, target
+	if err := a.run((*alsWork).factor, len(sd.rep)); err != nil {
+		return err
+	}
+	return a.run((*alsWork).solve, len(sd.pat))
+}
+
+// run calls step(a, wk, i) for every item i in [0, n) over the worker
+// pool, wk naming the calling worker's scratch, and returns the error of
+// the lowest failing item, so the reported failure does not depend on
+// scheduling. step is a method expression, so one worker allocates
+// nothing.
+func (a *alsWork) run(step func(a *alsWork, wk, i int) error, n int) error {
+	workers := min(a.workers, n)
 	if workers <= 1 {
-		sc := scratches[0]
 		for i := 0; i < n; i++ {
-			if err := ridgeUpdate(groups[i], opposite, target.Row(i), effLambda(cfg, len(groups[i])), rowSide, sc); err != nil {
+			if err := step(a, 0, i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+	type itemErr struct {
+		item int
+		err  error
+	}
+	errs := make([]itemErr, workers)
 	var next atomic.Int64
-	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			sc := scratches[wk]
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				if err := ridgeUpdate(groups[i], opposite, target.Row(i), effLambda(cfg, len(groups[i])), rowSide, sc); err != nil {
-					errs[wk] = err
+				if err := step(a, wk, i); err != nil {
+					errs[wk] = itemErr{item: i, err: err}
 					return
 				}
 			}
 		}(wk)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	first := itemErr{item: n}
+	for _, e := range errs {
+		if e.err != nil && e.item < first.item {
+			first = e
 		}
 	}
+	return first.err
+}
+
+// factor assembles pattern p's ridge Gram matrix Σ f fᵀ + λ_eff I over the
+// opposite-factor rows the pattern observes, in observation order, and
+// factors it. Only the lower triangle is assembled: it is all CholeskyInto
+// reads.
+func (a *alsWork) factor(wk, p int) error {
+	sd, r := a.side, a.cfg.Rank
+	rep := sd.rep[p]
+	opp := sd.opp[sd.start[rep]:sd.start[rep+1]]
+	gram := a.scratch[wk].gram
+	g := gram.Data()
+	clear(g)
+	for _, o := range opp {
+		f := a.opposite.Row(o)
+		for i := 0; i < r; i++ {
+			fi := f[i]
+			gi := g[i*r : i*r+i+1]
+			for j := range gi {
+				gi[j] += fi * f[j]
+			}
+		}
+	}
+	lambda := effLambda(a.cfg, len(opp))
+	for i := 0; i < r; i++ {
+		g[i*r+i] += lambda
+	}
+	if err := mat.CholeskyInto(a.chol[p], gram); err != nil {
+		return fmt.Errorf("mc: ridge sub-problem for %s %d (%d observations): %w", sd.name, rep, len(opp), err)
+	}
+	return nil
+}
+
+// solve accumulates target row i's right-hand side Σ f·v in observation
+// order and solves it against its pattern's factor. A row with no
+// observations is zeroed (the regularizer's minimizer). It never fails.
+func (a *alsWork) solve(wk, i int) error {
+	sd := a.side
+	dst := a.target.Row(i)
+	p := sd.pat[i]
+	if p < 0 {
+		clear(dst)
+		return nil
+	}
+	sc := &a.scratch[wk]
+	rhs := sc.rhs
+	clear(rhs)
+	for k := sd.start[i]; k < sd.start[i+1]; k++ {
+		f := a.opposite.Row(sd.opp[k])
+		v := sd.val[k]
+		for j := range rhs {
+			rhs[j] += f[j] * v
+		}
+	}
+	mat.CholeskySolveInto(a.chol[p], rhs, dst, sc.y)
 	return nil
 }
 
@@ -410,38 +596,7 @@ func effLambda(cfg Config, nobs int) float64 {
 	return cfg.Lambda
 }
 
-// ridgeUpdate solves the ridge sub-problem for one factor row in place,
-// reusing the caller's scratch so the hot loop does not allocate.
-// If rowSide is true, entries index the opposite factor by Col, else by Row.
-// Rows with no observations are zeroed (the regularizer's minimizer).
-func ridgeUpdate(entries []Entry, opposite *mat.Dense, dst []float64, lambda float64, rowSide bool, sc *alsScratch) error {
-	if len(entries) == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return nil
-	}
-	if cap(sc.features) < len(entries) {
-		sc.features = make([][]float64, len(entries))
-		sc.targets = make([]float64, len(entries))
-	}
-	features := sc.features[:len(entries)]
-	targets := sc.targets[:len(entries)]
-	for i, e := range entries {
-		if rowSide {
-			features[i] = opposite.Row(e.Col)
-		} else {
-			features[i] = opposite.Row(e.Row)
-		}
-		targets[i] = e.Val
-	}
-	if err := mat.RidgeSolveInto(features, targets, lambda, dst, sc.ridge); err != nil {
-		return fmt.Errorf("mc: ridge sub-problem: %w", err)
-	}
-	return nil
-}
-
-func completeSGD(obs []Entry, w, h *mat.Dense, cfg Config, g *rng.RNG) (*Result, error) {
+func completeSGD(ctx context.Context, obs []Entry, w, h *mat.Dense, cfg Config, g *rng.RNG) (*Result, error) {
 	order := make([]int, len(obs))
 	for i := range order {
 		order[i] = i
@@ -453,6 +608,9 @@ func completeSGD(obs []Entry, w, h *mat.Dense, cfg Config, g *rng.RNG) (*Result,
 	iters := 0
 	r := cfg.Rank
 	for epoch := 0; epoch < cfg.MaxIter; epoch++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		iters = epoch + 1
 		lr := cfg.LearningRate / (1 + 0.01*float64(epoch))
 		g.Shuffle(order)

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -58,7 +59,7 @@ func TestALSRecoversLowRank(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.WeightedReg = false
 	cfg.Lambda = 1e-3
-	res, err := Complete(obs, 30, 80, cfg)
+	res, err := Complete(context.Background(), obs, 30, 80, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestSGDRecoversLowRank(t *testing.T) {
 	cfg.MaxIter = 400
 	cfg.LearningRate = 0.05
 	cfg.Lambda = 1e-3
-	res, err := Complete(obs, 30, 60, cfg)
+	res, err := Complete(context.Background(), obs, 30, 60, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestALSWeightedRegRecovers(t *testing.T) {
 	truth := lowRankTruth(20, 50, 2, 5)
 	obs := sample(truth, 0.5, 6)
 	cfg := DefaultConfig(2) // WeightedReg is the default
-	res, err := Complete(obs, 20, 50, cfg)
+	res, err := Complete(context.Background(), obs, 20, 50, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestTrainRMSEDecreasesWithRank(t *testing.T) {
 		cfg := DefaultConfig(rank)
 		cfg.Lambda = 1e-4
 		cfg.WeightedReg = false
-		res, err := Complete(obs, 20, 40, cfg)
+		res, err := Complete(context.Background(), obs, 20, 40, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func TestObjectiveMonotone(t *testing.T) {
 		cfg := DefaultConfig(2)
 		cfg.MaxIter = iters
 		cfg.Tol = 0 // force exactly iters sweeps
-		res, err := Complete(obs, 15, 30, cfg)
+		res, err := Complete(context.Background(), obs, 15, 30, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +140,7 @@ func TestUnobservedRowZeroed(t *testing.T) {
 	// A row with no observations must predict 0 everywhere (plain ALS).
 	obs := []Entry{{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 1, Val: 2}}
 	cfg := DefaultConfig(2)
-	res, err := Complete(obs, 3, 2, cfg)
+	res, err := Complete(context.Background(), obs, 3, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestValidation(t *testing.T) {
 			if tc.mut != nil {
 				tc.mut(&cfg)
 			}
-			if _, err := Complete(tc.obs, tc.rows, tc.cols, cfg); err == nil {
+			if _, err := Complete(context.Background(), tc.obs, tc.rows, tc.cols, cfg); err == nil {
 				t.Fatal("expected validation error")
 			}
 		})
@@ -182,7 +183,7 @@ func TestValidation(t *testing.T) {
 func TestUnknownSolverRejected(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Solver = Solver(99)
-	if _, err := Complete([]Entry{{Row: 0, Col: 0, Val: 1}}, 1, 1, cfg); err == nil {
+	if _, err := Complete(context.Background(), []Entry{{Row: 0, Col: 0, Val: 1}}, 1, 1, cfg); err == nil {
 		t.Fatal("expected unknown-solver error")
 	}
 }
@@ -197,11 +198,11 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	truth := lowRankTruth(10, 20, 2, 11)
 	obs := sample(truth, 0.5, 12)
 	cfg := DefaultConfig(2)
-	a, err := Complete(obs, 10, 20, cfg)
+	a, err := Complete(context.Background(), obs, 10, 20, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Complete(obs, 10, 20, cfg)
+	b, err := Complete(context.Background(), obs, 10, 20, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 func TestCompletedMatchesPredict(t *testing.T) {
 	truth := lowRankTruth(8, 9, 2, 13)
 	obs := sample(truth, 0.7, 14)
-	res, err := Complete(obs, 8, 9, DefaultConfig(2))
+	res, err := Complete(context.Background(), obs, 8, 9, DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestRecoveryProperty(t *testing.T) {
 		cfg := DefaultConfig(2)
 		cfg.Lambda = 1e-3
 		cfg.WeightedReg = false
-		res, err := Complete(obs, 12, 24, cfg)
+		res, err := Complete(context.Background(), obs, 12, 24, cfg)
 		if err != nil {
 			return false
 		}
@@ -280,13 +281,13 @@ func TestCompleteDeterministicAcrossWorkers(t *testing.T) {
 	cfg := DefaultConfig(3)
 
 	cfg.Workers = 1
-	base, err := Complete(obs, 12, 25, cfg)
+	base, err := Complete(context.Background(), obs, 12, 25, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 7, runtime.GOMAXPROCS(0)} {
 		cfg.Workers = workers
-		got, err := Complete(obs, 12, 25, cfg)
+		got, err := Complete(context.Background(), obs, 12, 25, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -321,7 +322,7 @@ func TestWarmStartConvergesFaster(t *testing.T) {
 	cfg.MaxIter = 500
 	cfg.Tol = 1e-6
 
-	cold, err := Complete(sample(truth, 0.3, 12), 30, 80, cfg)
+	cold, err := Complete(context.Background(), sample(truth, 0.3, 12), 30, 80, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,13 +331,13 @@ func TestWarmStartConvergesFaster(t *testing.T) {
 	// next wave — warm-started from the first fit.
 	obs2 := sample(truth, 0.45, 12)
 	coldCfg := cfg
-	cold2, err := Complete(obs2, 30, 80, coldCfg)
+	cold2, err := Complete(context.Background(), obs2, 30, 80, coldCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warmCfg := cfg
 	warmCfg.Warm = &Warm{W: cold.W, H: cold.H}
-	warm2, err := Complete(obs2, 30, 80, warmCfg)
+	warm2, err := Complete(context.Background(), obs2, 30, 80, warmCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +355,7 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	truth := lowRankTruth(20, 50, 3, 21)
 	obs := sample(truth, 0.4, 22)
 	cfg := DefaultConfig(3)
-	base, err := Complete(sample(truth, 0.25, 23), 20, 50, cfg)
+	base, err := Complete(context.Background(), sample(truth, 0.25, 23), 20, 50, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +365,7 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 7} {
 		c := cfg
 		c.Workers = workers
-		res, err := Complete(obs, 20, 50, c)
+		res, err := Complete(context.Background(), obs, 20, 50, c)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -389,14 +390,14 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 // place, so the warm input must be copied, not aliased.
 func TestWarmStartDoesNotMutateWarmFactors(t *testing.T) {
 	truth := lowRankTruth(15, 40, 2, 31)
-	base, err := Complete(sample(truth, 0.3, 32), 15, 40, DefaultConfig(2))
+	base, err := Complete(context.Background(), sample(truth, 0.3, 32), 15, 40, DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wCopy, hCopy := cloneDense(base.W), cloneDense(base.H)
 	cfg := DefaultConfig(2)
 	cfg.Warm = &Warm{W: base.W, H: base.H}
-	if _, err := Complete(sample(truth, 0.5, 33), 15, 40, cfg); err != nil {
+	if _, err := Complete(context.Background(), sample(truth, 0.5, 33), 15, 40, cfg); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range base.W.Data() {
@@ -423,14 +424,14 @@ func TestWarmStartGrownAndMismatchedShapes(t *testing.T) {
 			smallObs = append(smallObs, e)
 		}
 	}
-	small, err := Complete(smallObs, 20, 45, DefaultConfig(3))
+	small, err := Complete(context.Background(), smallObs, 20, 45, DefaultConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	grown := DefaultConfig(3)
 	grown.Warm = &Warm{W: small.W, H: small.H}
-	res, err := Complete(obs, 25, 60, grown)
+	res, err := Complete(context.Background(), obs, 25, 60, grown)
 	if err != nil {
 		t.Fatalf("grown-shape warm start: %v", err)
 	}
@@ -439,17 +440,17 @@ func TestWarmStartGrownAndMismatchedShapes(t *testing.T) {
 	}
 
 	cold := DefaultConfig(3)
-	want, err := Complete(obs, 25, 60, cold)
+	want, err := Complete(context.Background(), obs, 25, 60, cold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrongRank, err := Complete(sample(truth, 0.3, 44), 25, 60, DefaultConfig(2))
+	wrongRank, err := Complete(context.Background(), sample(truth, 0.3, 44), 25, 60, DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mismatch := DefaultConfig(3)
 	mismatch.Warm = &Warm{W: wrongRank.W, H: wrongRank.H}
-	got, err := Complete(obs, 25, 60, mismatch)
+	got, err := Complete(context.Background(), obs, 25, 60, mismatch)
 	if err != nil {
 		t.Fatal(err)
 	}

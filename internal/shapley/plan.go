@@ -452,7 +452,7 @@ func (p *MonteCarloPlan) Advance(ctx context.Context) (more int, err error) {
 		cc.Warm = &mc.Warm{W: p.completion.W, H: p.completion.H}
 		cc.Restarts = 1
 	}
-	res, err := mc.Complete(toEntries(p.store.Observations()), p.t, p.store.NumColumns(), cc)
+	res, err := mc.Complete(ctx, toEntries(p.store.Observations()), p.t, p.store.NumColumns(), cc)
 	if err != nil {
 		return 0, fmt.Errorf("shapley: completing reduced utility matrix (wave %d): %w", p.wave, err)
 	}
@@ -622,7 +622,7 @@ func (p *ExactPlan) Advance(ctx context.Context) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	res, err := mc.Complete(toEntries(p.store.Observations()), p.t, p.store.NumColumns(), p.cfg)
+	res, err := mc.Complete(ctx, toEntries(p.store.Observations()), p.t, p.store.NumColumns(), p.cfg)
 	if err != nil {
 		return 0, fmt.Errorf("shapley: completing utility matrix: %w", err)
 	}

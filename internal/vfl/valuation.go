@@ -1,6 +1,7 @@
 package vfl
 
 import (
+	"context"
 	"fmt"
 
 	"comfedsv/internal/mc"
@@ -157,7 +158,7 @@ func Value(p *Problem, cfg Config) (*Report, error) {
 	for i, c := range observed {
 		entries[i] = mc.Entry{Row: c.t, Col: c.col - 1, Val: c.val}
 	}
-	res, err := mc.Complete(entries, cfg.Rounds, cols-1, mc.DefaultConfig(cfg.Rank))
+	res, err := mc.Complete(context.Background(), entries, cfg.Rounds, cols-1, mc.DefaultConfig(cfg.Rank))
 	if err != nil {
 		return nil, fmt.Errorf("vfl: completing coalition utilities: %w", err)
 	}
