@@ -1,9 +1,9 @@
 // Command datavalue computes data valuations from a recorded federated
-// training trace (produced by `fedsim -save run.json`), without retraining:
+// training trace (produced by `fedsim -save run.trace`), without retraining:
 //
-//	datavalue -run run.json                      # FedSV + ComFedSV
-//	datavalue -run run.json -methods all         # + LOO, TMC, group-testing
-//	datavalue -run run.json -out report.json     # machine-readable report
+//	datavalue -run run.trace                      # FedSV + ComFedSV
+//	datavalue -run run.trace -methods all         # + LOO, TMC, group-testing
+//	datavalue -run run.trace -out report.json     # machine-readable report
 //
 // This is the offline half of the paper's pipeline (Fig. 4): the server
 // records local updates during training; valuation is a post-processing

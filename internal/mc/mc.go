@@ -92,7 +92,9 @@ type Config struct {
 	// Seed drives factor initialization (and SGD order).
 	Seed int64
 	// Workers bounds the number of goroutines the solver may use; 0 means
-	// GOMAXPROCS. ALS parallelizes across restarts and, within a
+	// GOMAXPROCS, and larger values are capped at GOMAXPROCS, since extra
+	// goroutines on CPU-bound work only add scheduling and scratch
+	// allocations. ALS parallelizes across restarts and, within a
 	// half-sweep, across patterns (factorization) and factor rows (solves)
 	// — each reads only the fixed opposite factor and writes its own
 	// storage — so the result is bit-identical for every worker count.
@@ -184,9 +186,9 @@ func Complete(ctx context.Context, obs []Entry, rows, cols int, cfg Config) (*Re
 	if restarts < 1 {
 		restarts = 1
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	workers := runtime.GOMAXPROCS(0)
+	if cfg.Workers > 0 {
+		workers = min(cfg.Workers, workers)
 	}
 	conc := restarts
 	if conc > workers {

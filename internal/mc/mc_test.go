@@ -300,6 +300,33 @@ func TestCompleteDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestWorkersCappedAtGOMAXPROCS pins that asking for more solver
+// goroutines than there are procs costs nothing: Workers 8 allocates no
+// more per Complete than Workers GOMAXPROCS. (testing.AllocsPerRun is not
+// used because it pins GOMAXPROCS to 1 while it measures.)
+func TestWorkersCappedAtGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	obs := UtilityShaped(6, 300, 3, 42)
+	mallocs := func(workers int) uint64 {
+		cfg := DefaultConfig(3)
+		cfg.Workers = workers
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 5; i++ {
+			if _, err := Complete(context.Background(), obs, 6, 300, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / 5
+	}
+	mallocs(8) // warm up
+	procs := runtime.GOMAXPROCS(0)
+	if capped, over := mallocs(procs), mallocs(8); over > capped {
+		t.Fatalf("Workers 8 allocates %d objects per Complete, Workers %d only %d", over, procs, capped)
+	}
+}
+
 // cloneDense copies a matrix so a test can later prove the original was
 // not mutated.
 func cloneDense(m *mat.Dense) *mat.Dense {

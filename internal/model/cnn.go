@@ -29,11 +29,15 @@ type CNN struct {
 
 const cnnKernel = 3
 
+// CNNMinSide is the smallest image height and width NewCNN accepts: a 3×3
+// valid convolution must leave at least 2×2 for the pooling.
+const CNNMinSide = cnnKernel + 1
+
 // NewCNN returns a CNN for the given image geometry. It panics if the
-// images are too small for a 3×3 valid convolution followed by 2×2 pooling.
+// images are smaller than CNNMinSide on either side.
 func NewCNN(shape dataset.ImageShape, filters, classes int) *CNN {
 	m := &CNN{Shape: shape, Filters: filters, Classes: classes, L2: 1e-4}
-	if m.convH() < 2 || m.convW() < 2 {
+	if shape.Height < CNNMinSide || shape.Width < CNNMinSide {
 		panic(fmt.Sprintf("model: image %dx%d too small for CNN", shape.Height, shape.Width))
 	}
 	return m

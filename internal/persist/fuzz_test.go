@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -122,5 +123,31 @@ func FuzzReadCells(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzLog(t, &runs.dirStore, cellsLog, data, runs.ReadCells)
+	})
+}
+
+// FuzzLoadRun checks that every input is rejected or is canonical:
+// SaveRun(LoadRun(b)) reproduces b. Each input is also tried with a
+// matching checksum appended, so mutations reach the header and float
+// checks instead of stopping at the footer.
+func FuzzLoadRun(f *testing.F) {
+	valid := encode(f, tinyLR())
+	f.Add(valid)
+	f.Add(valid[:len(valid)-4])
+	f.Add([]byte(v1Trace))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, b := range [][]byte{data, seal(data)} {
+			run, err := LoadRun(bytes.NewReader(b))
+			if err != nil {
+				continue
+			}
+			var out bytes.Buffer
+			if err := SaveRun(&out, run); err != nil {
+				t.Fatalf("re-encoding an accepted trace: %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), b) {
+				t.Fatalf("SaveRun(LoadRun(b)) differs from b:\n%x\n%x", b, out.Bytes())
+			}
+		}
 	})
 }

@@ -1,8 +1,9 @@
-// Package persist serializes federated training runs and valuation reports
-// to JSON, so that valuation can run offline from a recorded trace: a
-// server records the run once (cmd/fedsim -save) and analysts recompute
-// FedSV / ComFedSV / baselines later without retraining
-// (cmd/datavalue -run).
+// Package persist stores federated training runs and valuation reports,
+// so that valuation can run offline from a recorded trace: a server
+// records the run once (cmd/fedsim -save) and analysts recompute FedSV /
+// ComFedSV / baselines later without retraining (cmd/datavalue -run). A
+// run trace is one checksummed binary document (layout in trace.go); a
+// report is JSON.
 //
 // It also holds the daemon's disk state. JobStore (reports, traces, job
 // journals) and RunStore (shared traces, cell-cache sidecars) share one
@@ -23,21 +24,21 @@ import (
 	"io"
 
 	"comfedsv/internal/dataset"
-	"comfedsv/internal/fl"
 	"comfedsv/internal/model"
 )
 
-// FormatVersion identifies the on-disk schema; bumped on breaking changes.
-const FormatVersion = 1
+// reportVersion identifies the Report schema. It is versioned apart from
+// run traces (runVersion), so a new trace layout leaves reports unchanged.
+const reportVersion = 1
 
 // ModelSpec describes how to reconstruct a model.Model.
 type ModelSpec struct {
-	Kind    string              `json:"kind"` // "logreg", "mlp", or "cnn"
-	Dim     int                 `json:"dim,omitempty"`
-	Hidden  int                 `json:"hidden,omitempty"`
-	Classes int                 `json:"classes"`
-	Filters int                 `json:"filters,omitempty"`
-	Shape   *dataset.ImageShape `json:"shape,omitempty"`
+	Kind    string // "logreg", "mlp", or "cnn"
+	Dim     int
+	Hidden  int
+	Classes int
+	Filters int
+	Shape   *dataset.ImageShape
 }
 
 // SpecFor derives the spec of a known model type. It returns an error for
@@ -67,146 +68,14 @@ func (s ModelSpec) Build() (model.Model, error) {
 		if s.Shape == nil {
 			return nil, fmt.Errorf("persist: cnn spec without shape")
 		}
+		if s.Shape.Height < model.CNNMinSide || s.Shape.Width < model.CNNMinSide {
+			return nil, fmt.Errorf("persist: cnn image %dx%d is smaller than %dx%d",
+				s.Shape.Height, s.Shape.Width, model.CNNMinSide, model.CNNMinSide)
+		}
 		return model.NewCNN(*s.Shape, s.Filters, s.Classes), nil
 	default:
 		return nil, fmt.Errorf("persist: unknown model kind %q", s.Kind)
 	}
-}
-
-// datasetFile is the JSON form of a dataset.
-type datasetFile struct {
-	X          [][]float64         `json:"x"`
-	Y          []int               `json:"y"`
-	NumClasses int                 `json:"num_classes"`
-	Shape      *dataset.ImageShape `json:"shape,omitempty"`
-}
-
-func toDatasetFile(d *dataset.Dataset) datasetFile {
-	return datasetFile{X: d.X, Y: d.Y, NumClasses: d.NumClasses, Shape: d.Shape}
-}
-
-func (f datasetFile) toDataset() (*dataset.Dataset, error) {
-	d := &dataset.Dataset{X: f.X, Y: f.Y, NumClasses: f.NumClasses, Shape: f.Shape}
-	if d.X == nil {
-		d.X = [][]float64{}
-	}
-	if d.Y == nil {
-		d.Y = []int{}
-	}
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("persist: invalid dataset: %w", err)
-	}
-	return d, nil
-}
-
-// roundFile is the JSON form of one recorded round.
-type roundFile struct {
-	Global       []float64   `json:"global"`
-	Locals       [][]float64 `json:"locals"`
-	Selected     []int       `json:"selected"`
-	TestLoss     float64     `json:"test_loss"`
-	LearningRate float64     `json:"learning_rate"`
-}
-
-// runFile is the JSON schema of a full training trace.
-type runFile struct {
-	Version int           `json:"version"`
-	Model   ModelSpec     `json:"model"`
-	Test    datasetFile   `json:"test"`
-	Clients []datasetFile `json:"clients"`
-	Rounds  []roundFile   `json:"rounds"`
-	Final   []float64     `json:"final"`
-}
-
-// SaveRun writes the run as JSON.
-func SaveRun(w io.Writer, run *fl.Run) error {
-	spec, err := SpecFor(run.Model)
-	if err != nil {
-		return err
-	}
-	f := runFile{
-		Version: FormatVersion,
-		Model:   spec,
-		Test:    toDatasetFile(run.Test),
-		Final:   run.Final,
-	}
-	for _, c := range run.Clients {
-		f.Clients = append(f.Clients, toDatasetFile(c))
-	}
-	for _, rd := range run.Rounds {
-		f.Rounds = append(f.Rounds, roundFile{
-			Global:       rd.Global,
-			Locals:       rd.Locals,
-			Selected:     rd.Selected,
-			TestLoss:     rd.TestLoss,
-			LearningRate: rd.LearningRate,
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(f)
-}
-
-// LoadRun reads a run previously written by SaveRun and validates its
-// internal consistency (parameter lengths, selection indices, shapes).
-func LoadRun(r io.Reader) (*fl.Run, error) {
-	var f runFile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("persist: decoding run: %w", err)
-	}
-	if f.Version != FormatVersion {
-		return nil, fmt.Errorf("persist: unsupported format version %d (want %d)", f.Version, FormatVersion)
-	}
-	m, err := f.Model.Build()
-	if err != nil {
-		return nil, err
-	}
-	test, err := f.Test.toDataset()
-	if err != nil {
-		return nil, fmt.Errorf("persist: test set: %w", err)
-	}
-	run := &fl.Run{Model: m, Test: test, Final: f.Final}
-	for i, cf := range f.Clients {
-		c, err := cf.toDataset()
-		if err != nil {
-			return nil, fmt.Errorf("persist: client %d: %w", i, err)
-		}
-		run.Clients = append(run.Clients, c)
-	}
-	n := len(run.Clients)
-	p := m.NumParams()
-	if len(f.Final) != p {
-		return nil, fmt.Errorf("persist: final model has %d params, model wants %d", len(f.Final), p)
-	}
-	for t, rf := range f.Rounds {
-		if len(rf.Global) != p {
-			return nil, fmt.Errorf("persist: round %d global has %d params, want %d", t, len(rf.Global), p)
-		}
-		if len(rf.Locals) != n {
-			return nil, fmt.Errorf("persist: round %d has %d locals, want %d", t, len(rf.Locals), n)
-		}
-		for i, l := range rf.Locals {
-			if len(l) != p {
-				return nil, fmt.Errorf("persist: round %d client %d has %d params, want %d", t, i, len(l), p)
-			}
-		}
-		for _, s := range rf.Selected {
-			if s < 0 || s >= n {
-				return nil, fmt.Errorf("persist: round %d selects client %d of %d", t, s, n)
-			}
-		}
-		run.Rounds = append(run.Rounds, fl.Round{
-			Global:       rf.Global,
-			Locals:       rf.Locals,
-			Selected:     rf.Selected,
-			TestLoss:     rf.TestLoss,
-			LearningRate: rf.LearningRate,
-		})
-	}
-	if len(run.Rounds) == 0 {
-		return nil, fmt.Errorf("persist: run has no rounds")
-	}
-	return run, nil
 }
 
 // Report is the JSON form of a valuation report produced by cmd/datavalue.
@@ -217,20 +86,8 @@ type Report struct {
 
 // SaveReport writes a valuation report as JSON.
 func SaveReport(w io.Writer, rep *Report) error {
-	rep.Version = FormatVersion
+	rep.Version = reportVersion
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// LoadReport reads a valuation report.
-func LoadReport(r io.Reader) (*Report, error) {
-	var rep Report
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("persist: decoding report: %w", err)
-	}
-	if rep.Version != FormatVersion {
-		return nil, fmt.Errorf("persist: unsupported report version %d", rep.Version)
-	}
-	return &rep, nil
 }

@@ -2,6 +2,10 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -83,6 +87,7 @@ func TestRunRoundTripAllModels(t *testing.T) {
 		if loaded.Model.NumParams() != m.NumParams() {
 			t.Fatalf("%T: params %d, want %d", m, loaded.Model.NumParams(), m.NumParams())
 		}
+		requireSameRun(t, run, loaded)
 	}
 }
 
@@ -112,21 +117,41 @@ func TestBuildUnknownKind(t *testing.T) {
 func TestLoadRejectsCorruptInput(t *testing.T) {
 	cases := []struct {
 		name string
-		mut  func(string) string
+		mut  func([]byte) []byte
+		want string
 	}{
-		{"not json", func(s string) string { return "garbage" }},
-		{"wrong version", func(s string) string { return strings.Replace(s, `"version":1`, `"version":9`, 1) }},
+		{"not json", func([]byte) []byte { return []byte("garbage") }, "not a run trace"},
+		{"wrong version", func(b []byte) []byte {
+			b = bytes.Clone(b)
+			b[len(runMagic)] = 9 // the one-byte uvarint version
+			return reseal(b)
+		}, "unsupported format version 9"},
+		{"v1 json", func([]byte) []byte { return []byte(v1Trace) }, "unsupported format version 1"},
+		{"flipped payload byte", func(b []byte) []byte {
+			b = bytes.Clone(b)
+			b[len(b)/2] ^= 0x10
+			return b
+		}, "checksum mismatch"},
+		{"trailing bytes", func(b []byte) []byte {
+			return reseal(append(bytes.Clone(b[:len(b)-4]), 0, 0, 0, 0, 0))
+		}, "after its float block"},
+		{"non-finite final", func(b []byte) []byte {
+			b = bytes.Clone(b)
+			binary.LittleEndian.PutUint64(b[len(b)-12:], math.Float64bits(math.NaN()))
+			return reseal(b)
+		}, "final model holds non-finite value NaN"},
 	}
 	run := makeRun(t)
 	var buf bytes.Buffer
 	if err := SaveRun(&buf, run); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.String()
+	good := buf.Bytes()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := LoadRun(strings.NewReader(tc.mut(good))); err == nil {
-				t.Fatal("expected error")
+			_, err := LoadRun(bytes.NewReader(tc.mut(good)))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
 			}
 		})
 	}
@@ -182,4 +207,16 @@ func TestLoadReportRejectsGarbage(t *testing.T) {
 	if _, err := LoadReport(strings.NewReader(`{"version":3}`)); err == nil {
 		t.Fatal("expected version error")
 	}
+}
+
+// LoadReport reads a valuation report written by SaveReport.
+func LoadReport(r io.Reader) (*Report, error) {
+	var rep Report
+	if err := json.NewDecoder(r).Decode(&rep); err != nil {
+		return nil, fmt.Errorf("persist: decoding report: %w", err)
+	}
+	if rep.Version != reportVersion {
+		return nil, fmt.Errorf("persist: unsupported report version %d", rep.Version)
+	}
+	return &rep, nil
 }

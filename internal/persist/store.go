@@ -132,12 +132,11 @@ func (s *dirStore) LoadRun(id string) (*fl.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	defer f.Close()
-	return LoadRun(f)
+	return decodeRun(b)
 }
 
 // writeAtomic writes a file under dir via temp file + fsync + rename, so a
